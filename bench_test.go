@@ -2,8 +2,8 @@ package assoccache
 
 // The benchmark harness has two layers:
 //
-//   - BenchmarkE* — one benchmark per reproduction experiment (E1–E19, the
-//     per-theorem index in DESIGN.md §3). Each iteration executes the whole
+//   - BenchmarkE* — one benchmark per reproduction experiment (E1–E19; the
+//     id-to-claim index is the table in cmd/assocbench/main.go). Each iteration executes the whole
 //     experiment at Quick scale and reports its headline metric, so
 //     `go test -bench=E -benchmem` regenerates every "table" of the paper.
 //   - Micro-benchmarks for the hot paths of the library itself (policy

@@ -12,8 +12,8 @@
 //
 // Usage:
 //
-//	benchrun -o BENCH_7.json
-//	benchrun -short -baseline BENCH_7.json   # CI smoke: seconds, not minutes
+//	benchrun -o BENCH_10.json
+//	benchrun -short -baseline BENCH_10.json   # CI smoke: seconds, not minutes
 //
 // The alloc columns are a gate, not a report: if any hot-path telemetry
 // operation (histogram Record, counter Add, high-water Set, slow-op

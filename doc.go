@@ -31,8 +31,9 @@
 // motivating concurrent-software-cache use case.
 //
 // The reproduction experiments E1–E19 (one per theorem/lemma/proposition;
-// see DESIGN.md and EXPERIMENTS.md) live in internal/experiments and are
-// runnable via cmd/assocbench or the benchmarks in bench_test.go.
+// cmd/assocbench/main.go lists which claim each id checks) live in
+// internal/experiments and are runnable via cmd/assocbench or the
+// benchmarks in bench_test.go.
 //
 // # The cache service
 //
@@ -78,9 +79,9 @@
 // intended send times, making them coordinated-omission-safe; it also
 // reports the repair writes a replicated run generated.
 //
-// ARCHITECTURE.md holds the layer map, the migration invariants, and the
-// full wire-protocol specification, which internal/wire's spec test keeps
-// in lockstep with the implementation.
+// ARCHITECTURE.md holds the layer map, the bucket layout, the migration
+// invariants, and the full wire-protocol specification, which
+// internal/wire's spec test keeps in lockstep with the implementation.
 //
 // # Quick start
 //

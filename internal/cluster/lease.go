@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
@@ -142,13 +143,31 @@ func (c *Client) getBatchLeased(keys []uint64, bt batchTrace, visit func(i int, 
 	if len(remote) == 0 {
 		return nil
 	}
-	// The network round runs over the compacted remainder so sub-batch
-	// index bookkeeping stays contiguous; wvisit maps back.
-	rk := make([]uint64, len(remote))
+	// The network round runs over the compacted, deduplicated remainder so
+	// sub-batch index bookkeeping stays contiguous; wvisit maps back. A key
+	// the batch repeats is asked for once: two GETLs for one cold key would
+	// win the grant with the first and be told "held" on the second, and
+	// the batch would wait out its own lease. Each unique key's result fans
+	// out to every position that asked for it. Batches are a few dozen
+	// keys, so duplicates are found by a linear scan of rk.
+	rk := make([]uint64, 0, len(remote))
+	uidx := make([]int, len(remote)) // per remote index: its key's index in rk
 	for j, i := range remote {
-		rk[j] = keys[i]
+		u := slices.Index(rk, keys[i])
+		if u < 0 {
+			u = len(rk)
+			rk = append(rk, keys[i])
+		}
+		uidx[j] = u
 	}
-	wvisit := func(j int, hit bool, value []byte) { visit(remote[j], hit, value) }
+	wvisit := func(u int, hit bool, value []byte) {
+		// rk's u-th key first appears at remote index u or later.
+		for j := u; j < len(remote); j++ {
+			if uidx[j] == u {
+				visit(remote[j], hit, value)
+			}
+		}
+	}
 	var waiters []int
 	var err error
 	if c.effReplicas() > 1 {

@@ -13,7 +13,7 @@ import (
 // internal/server's benchmark and the E1/E2 experiments).
 func BenchmarkAlphaSweepParallel(b *testing.B) {
 	const k = 1 << 14
-	for _, alpha := range []int{1, 4, 16, 64, 256, 1024, k} {
+	for _, alpha := range []int{1, 4, 16, 64, 128, 256, 1024, k} {
 		b.Run(fmt.Sprintf("alpha=%d", alpha), func(b *testing.B) {
 			c, err := New(Config{Capacity: k, Alpha: alpha, Seed: 1})
 			if err != nil {

@@ -8,6 +8,21 @@
 // library's miss-cost analysis (experiments E1/E2) quantifies the other
 // side.
 //
+// Each bucket is a flat α-way set. The cache holds two arrays of k slots,
+// one for keys and one for values; bucket b owns slots [b·α, (b+1)·α) and
+// a count n of the occupied ones, which are always the first n. A lookup
+// is a linear scan of at most α keys — with α = Θ(log k) that is a few
+// cache lines, and no map or list node is touched. Under the default LRU
+// policy the slot order is the recency order: slot 0 is the most recently
+// used, a hit rotates its prefix so the item lands in slot 0, and the
+// victim is slot n−1, so the set needs no per-entry allocation at all.
+// Any other policy.Policy (clock, FIFO, LFU, LRU-K, ...) runs beside the
+// slots as one instance per bucket: it decides hits and victims, and the
+// slots hold the values in no particular order. Past α = scanMax a scan
+// and the order-keeping shifts cost more than a map lookup, so such sets
+// keep a key→slot index beside their slots and, under LRU, a doubly-linked
+// recency list over slot offsets instead of the slot order.
+//
 // The cache also supports *online* incremental rehashing: the ⟨LRU⟩IF
 // algorithm of Section 6.1, ported from internal/core to the concurrent
 // setting. A rehash draws a fresh indexing hash while the old one stays
@@ -36,8 +51,18 @@ import (
 // call New.
 type Cache struct {
 	buckets []bucket
-	alpha   int
-	seeds   *hashfn.SeedSequence
+	// keys and vals are the k slots; bucket b owns [b·α, b·α+n). A slot is
+	// read or written only under its bucket's lock.
+	keys []trace.Item
+	vals []interface{}
+	// index maps each resident key to its slot offset within its bucket,
+	// one map per bucket; nil when α ≤ scanMax and slots are scanned.
+	index []map[trace.Item]int32
+	// links is the recency order of LRU sets past scanMax; see link. nil
+	// otherwise.
+	links []link
+	alpha int
+	seeds *hashfn.SeedSequence
 
 	// pair is the atomically published {hasher, oldHasher} snapshot. When no
 	// migration is in flight (pair.old == nil) operations run a lock-free
@@ -92,10 +117,32 @@ type hasherPair struct {
 // snapshot buys; it is never set outside tests.
 var disableFastPath bool
 
+// scanMax is the largest α whose sets are searched by a linear scan and, under
+// LRU, kept in recency order. Up to it a scan of α contiguous keys beats a
+// map lookup; well past it the scan and the order-keeping shifts cost O(α)
+// per operation. At α = 128 (BenchmarkAlphaSweepParallel) the index and
+// recency list already match or beat the scan.
+const scanMax = 64
+
+// link is one node of an indexed LRU set's recency list. Bucket b's α+1
+// links start at b·(α+1): link i belongs to slot b·α+i, and link α is the
+// sentinel of the circular list, whose next is the most recently used slot
+// and whose prev is the least. prev and next are offsets within the bucket.
+// The list, not a policy.LRU beside the slots: the LRU's own node map on
+// top of the index costs a second map operation per access, and lost every
+// α ≥ 128 row of BenchmarkAlphaSweepParallel to a value map plus a
+// policy.LRU with no slots at all.
+type link struct{ prev, next int32 }
+
+// bucket is one set's header; its slots live in Cache.keys and Cache.vals.
+// On 64-bit platforms it is exactly one 64-byte cache line, so buckets do
+// not share lines.
 type bucket struct {
-	mu     sync.Mutex
-	pol    policy.Policy
-	values map[trace.Item]interface{}
+	mu sync.Mutex
+	n  int32 // occupied slots
+	// pol is the bucket's replacement policy, or nil when the slot order
+	// itself is the LRU order. With a policy the slots are unordered.
+	pol policy.Policy
 	// old marks residents that have not been remapped since the last rehash
 	// began. Items in old are indexed by the *previous* hash function.
 	old map[trace.Item]struct{}
@@ -104,8 +151,6 @@ type bucket struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-
-	_ [32]byte // pad to keep hot buckets off shared cache lines
 }
 
 // Config describes a concurrent cache.
@@ -120,7 +165,9 @@ type Config struct {
 	// Seed drives the indexing hash and the rehash seed schedule.
 	Seed uint64
 	// Policy stamps out one replacement-policy instance per bucket.
-	// Nil means LRU.
+	// Nil, or a factory that builds *policy.LRU, means LRU kept in the
+	// slots themselves: in their order up to α = 64, on a per-set recency
+	// list over them above.
 	Policy policy.Factory
 	// RehashEveryMisses, when nonzero, starts an online incremental rehash
 	// every RehashEveryMisses Get misses — the paper's "rehash every poly(k)
@@ -150,13 +197,11 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha > cfg.Capacity || cfg.Capacity%cfg.Alpha != 0 {
 		return nil, fmt.Errorf("concurrent: alpha %d must divide capacity %d", cfg.Alpha, cfg.Capacity)
 	}
-	factory := cfg.Policy
-	if factory == nil {
-		factory = func(c int) policy.Policy { return policy.NewLRU(c) }
-	}
 	n := cfg.Capacity / cfg.Alpha
 	c := &Cache{
 		buckets:              make([]bucket, n),
+		keys:                 make([]trace.Item, cfg.Capacity),
+		vals:                 make([]interface{}, cfg.Capacity),
 		seeds:                hashfn.NewSeedSequence(cfg.Seed),
 		alpha:                cfg.Alpha,
 		rehashEveryMisses:    cfg.RehashEveryMisses,
@@ -167,9 +212,31 @@ func New(cfg Config) (*Cache, error) {
 		c.migrationPerMiss = 1
 	}
 	c.pair.Store(&hasherPair{hasher: hashfn.NewRandom(c.seeds.Next(), n)})
-	for i := range c.buckets {
-		c.buckets[i].pol = factory(cfg.Alpha)
-		c.buckets[i].values = make(map[trace.Item]interface{}, cfg.Alpha)
+	// LRU lives in the slots (their order, or past scanMax the links);
+	// any other policy gets one instance per bucket, the probed one
+	// included.
+	lru := true
+	if cfg.Policy != nil {
+		first := cfg.Policy(cfg.Alpha)
+		if _, lru = first.(*policy.LRU); !lru {
+			c.buckets[0].pol = first
+			for i := 1; i < n; i++ {
+				c.buckets[i].pol = cfg.Policy(cfg.Alpha)
+			}
+		}
+	}
+	if cfg.Alpha > scanMax {
+		c.index = make([]map[trace.Item]int32, n)
+		for i := range c.index {
+			c.index[i] = make(map[trace.Item]int32, cfg.Alpha)
+		}
+		if lru {
+			c.links = make([]link, n*(cfg.Alpha+1))
+			for i := range n {
+				l := c.linksOf(i)
+				l[cfg.Alpha] = link{int32(cfg.Alpha), int32(cfg.Alpha)}
+			}
+		}
 	}
 	return c, nil
 }
@@ -197,19 +264,28 @@ func DefaultEveryMisses(k int) uint64 {
 // a miss force-evicts up to MigrationPerMiss old residents (Section 6.1).
 func (c *Cache) Get(key uint64) (interface{}, bool) {
 	item := trace.Item(key)
-	v, ok, fast := c.getFast(item)
-	if !fast {
-		c.rehashMu.RLock()
-		p := c.pair.Load()
-		v, ok = c.lookup(p, item)
-		if !ok && p.old != nil {
+	nb, ob, slow := c.acquire(item)
+	bi, s := c.find(nb, ob, item)
+	var v interface{}
+	if s >= 0 {
+		// Rewriting the value records the hit; a not-yet-remapped item
+		// moves to its new bucket, which may evict from there (Section 6.1).
+		v = c.vals[s]
+		c.write(nb, bi, s, item, v)
+		c.buckets[nb].hits++
+	} else {
+		c.buckets[nb].misses++
+	}
+	c.unlockPair(nb, ob)
+	if slow {
+		if s < 0 && c.migrating.Load() {
 			c.migrateSteps()
 		}
 		c.rehashMu.RUnlock()
 		c.maybeFinishMigration()
 	}
 
-	if ok {
+	if s >= 0 {
 		c.hits.Add(1)
 		return v, true
 	}
@@ -223,147 +299,133 @@ func (c *Cache) Get(key uint64) (interface{}, bool) {
 	return nil, false
 }
 
-// getFast is the single-bucket fast path: valid only while no migration is
-// in flight. The pair re-validation under the bucket lock is what makes it
-// safe; see the pair field comment. The third return reports whether the
-// fast path applied at all.
-func (c *Cache) getFast(item trace.Item) (interface{}, bool, bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return nil, false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return nil, false, false
-	}
-	v, ok := b.values[item]
-	if !ok {
-		b.misses++
-		b.mu.Unlock()
-		return nil, false, true
-	}
-	b.pol.Request(item)
-	b.hits++
-	b.mu.Unlock()
-	return v, true, true
-}
-
-// lookup finds item under the live hash function(s) of pair p. Caller holds
-// rehashMu.RLock, under which p is stable.
-func (c *Cache) lookup(p *hasherPair, item trace.Item) (interface{}, bool) {
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
+// acquire locks the bucket(s) item can live in: nb under the live hash and,
+// while a migration is in flight, ob under the previous one (ob == nb
+// otherwise). With no migration in flight it takes only nb's lock and
+// re-validates the pair under it — the fast path; see the pair field. Else
+// it returns slow = true and also holds rehashMu's read side, under which
+// the pair is stable. release undoes it.
+func (c *Cache) acquire(item trace.Item) (nb, ob int, slow bool) {
+	if p := c.pair.Load(); p.old == nil && !disableFastPath {
+		nb = p.hasher.Bucket(item)
 		b := &c.buckets[nb]
 		b.mu.Lock()
-		defer b.mu.Unlock()
-		v, ok := b.values[item]
-		if !ok {
-			b.misses++
-			return nil, false
+		if c.pair.Load() == p {
+			return nb, nb, false
 		}
-		c.clearOldMark(b, item)
-		b.pol.Request(item)
-		b.hits++
-		return v, true
-	}
-
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-
-	if v, ok := bn.values[item]; ok {
-		bn.pol.Request(item)
-		bn.hits++
-		return v, true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		// Hit on a non-remapped item: move it to its new bucket, which may
-		// evict from there (Section 6.1).
-		v := bo.values[item]
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		c.insertLocked(bn, item, v)
-		bn.hits++
-		return v, true
-	}
-	bn.misses++
-	return nil, false
-}
-
-// Put caches value under key, evicting from the target bucket if needed.
-// It returns the evicted key and whether an eviction happened.
-func (c *Cache) Put(key uint64, value interface{}) (evictedKey uint64, evicted bool) {
-	item := trace.Item(key)
-	if victim, didEvict, fast := c.putFast(item, value); fast {
-		return uint64(victim), didEvict
+		b.mu.Unlock()
 	}
 	c.rehashMu.RLock()
 	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
+	nb = p.hasher.Bucket(item)
+	ob = nb
 	if p.old != nil {
 		ob = p.old.Bucket(item)
 	}
-	var victim trace.Item
-	var didEvict bool
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		c.clearOldMark(b, item)
-		victim, didEvict = c.insertLocked(b, item, value)
-		b.mu.Unlock()
-	} else {
-		bn, bo := &c.buckets[nb], &c.buckets[ob]
-		c.lockPair(nb, ob)
-		if _, isOld := bo.old[item]; isOld {
-			// Overwrite of a non-remapped item: drop the stale resident and
-			// store fresh in the new bucket.
-			bo.pol.Delete(item)
-			delete(bo.values, item)
-			delete(bo.old, item)
-			c.pending.Add(-1)
-			c.occupancy.Add(-1)
+	c.lockPair(nb, ob)
+	return nb, ob, true
+}
+
+// release drops what acquire took and, after a slow-path operation, retires
+// the old hash once the migration has drained.
+func (c *Cache) release(nb, ob int, slow bool) {
+	c.unlockPair(nb, ob)
+	if slow {
+		c.rehashMu.RUnlock()
+		c.maybeFinishMigration()
+	}
+}
+
+// lockPair locks buckets i and j — once when they are the same bucket, in
+// index order otherwise, avoiding deadlock between operations whose
+// old/new buckets cross.
+func (c *Cache) lockPair(i, j int) {
+	if i > j {
+		i, j = j, i
+	}
+	c.buckets[i].mu.Lock()
+	if j != i {
+		c.buckets[j].mu.Lock()
+	}
+}
+
+func (c *Cache) unlockPair(i, j int) {
+	c.buckets[i].mu.Unlock()
+	if j != i {
+		c.buckets[j].mu.Unlock()
+	}
+}
+
+// find locates item given the buckets acquire returned: its slot s in the
+// live bucket nb or, during a migration, in the old bucket ob when it
+// still awaits remapping there. bi is the bucket holding s; s < 0 means
+// absent. Caller holds both locks.
+func (c *Cache) find(nb, ob int, item trace.Item) (bi, s int) {
+	if s = c.slotOf(nb, item); s >= 0 || ob == nb {
+		return nb, s
+	}
+	if _, isOld := c.buckets[ob].old[item]; isOld {
+		return ob, c.slotOf(ob, item)
+	}
+	return nb, -1
+}
+
+// slotOf returns the slot holding item in bucket bi, or -1. Caller holds
+// the bucket's lock.
+func (c *Cache) slotOf(bi int, item trace.Item) int {
+	lo := bi * c.alpha
+	if c.index != nil {
+		if off, ok := c.index[bi][item]; ok {
+			return lo + int(off)
 		}
-		victim, didEvict = c.insertLocked(bn, item, value)
-		c.unlockPair(nb, ob)
+		return -1
 	}
-	c.rehashMu.RUnlock()
-	c.maybeFinishMigration()
-	return uint64(victim), didEvict
+	for i, k := range c.keys[lo : lo+int(c.buckets[bi].n)] {
+		if k == item {
+			return lo + i
+		}
+	}
+	return -1
 }
 
-// putFast is Put's single-bucket fast path; see getFast.
-func (c *Cache) putFast(item trace.Item, value interface{}) (victim trace.Item, didEvict, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return 0, false, false
+// write stores item→value in its live bucket nb, given where find located
+// it. An overwrite of a not-yet-remapped item drops the stale resident from
+// the old bucket and stores it fresh in nb. It returns the (single)
+// reported victim. Caller holds the locks of nb and bi.
+func (c *Cache) write(nb, bi, s int, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
+	if s >= 0 {
+		if bi != nb {
+			c.remove(bi, s)
+			s = -1
+		} else {
+			c.clearOldMark(&c.buckets[nb], item)
+		}
 	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return 0, false, false
-	}
-	victim, didEvict = c.insertLocked(b, item, value)
-	b.mu.Unlock()
-	return victim, didEvict, true
+	return c.store(nb, s, item, value)
 }
 
-// insertLocked stores item→value in bucket b, whose mutex the caller holds,
-// handling eviction bookkeeping. It returns the (single) reported victim.
-func (c *Cache) insertLocked(b *bucket, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
-	hit, victim, didEvict := b.pol.Request(item)
+// store writes item→value into bucket bi, where s is item's slot there or
+// -1 when it is absent, and does the eviction bookkeeping. It returns the
+// (single) reported victim. Caller holds the bucket's lock.
+func (c *Cache) store(bi, s int, item trace.Item, value interface{}) (victim trace.Item, didEvict bool) {
+	b := &c.buckets[bi]
+	if s >= 0 {
+		c.vals[c.touch(bi, s)] = value
+		return 0, false
+	}
+	if b.pol == nil {
+		if int(b.n) == c.alpha {
+			last := (bi+1)*c.alpha - 1
+			if c.links != nil {
+				last = bi*c.alpha + int(c.linksOf(bi)[c.alpha].prev)
+			}
+			victim, didEvict = c.keys[last], true
+			c.dropSlot(bi, last)
+		}
+	} else if _, victim, didEvict = b.pol.Request(item); didEvict {
+		c.dropSlot(bi, c.slotOf(bi, victim))
+	}
 	if didEvict {
-		delete(b.values, victim)
 		c.clearOldMark(b, victim)
 		b.evictions++
 		c.evictions.Add(1)
@@ -379,15 +441,15 @@ func (c *Cache) insertLocked(b *bucket, item trace.Item, value interface{}) (vic
 				go c.Rehash()
 			}
 		}
-	} else if !hit {
+	} else {
 		c.occupancy.Add(1)
 	}
 	// Non-lazy policies (flush-when-full) may evict a whole batch beyond the
 	// single reported victim.
 	if be, ok := b.pol.(policy.BatchEvictions); ok {
 		for _, ev := range be.TakeEvictions() {
-			if _, present := b.values[ev]; present {
-				delete(b.values, ev)
+			if es := c.slotOf(bi, ev); es >= 0 {
+				c.dropSlot(bi, es)
 				c.clearOldMark(b, ev)
 				b.evictions++
 				c.evictions.Add(1)
@@ -395,14 +457,127 @@ func (c *Cache) insertLocked(b *bucket, item trace.Item, value interface{}) (vic
 			}
 		}
 	}
-	b.values[item] = value
+	lo, n := bi*c.alpha, int(b.n)
+	if c.ordered(b) {
+		// Shift the occupied slots up one and put item in slot 0, its MRU
+		// position.
+		copy(c.keys[lo+1:lo+n+1], c.keys[lo:lo+n])
+		copy(c.vals[lo+1:lo+n+1], c.vals[lo:lo+n])
+		c.keys[lo], c.vals[lo] = item, value
+	} else {
+		c.keys[lo+n], c.vals[lo+n] = item, value
+		if c.index != nil {
+			c.index[bi][item] = int32(n)
+		}
+		if c.links != nil {
+			pushFront(c.linksOf(bi), int32(n))
+		}
+	}
+	b.n++
 	return victim, didEvict
+}
+
+// ordered reports whether bucket b keeps LRU in its slot order.
+func (c *Cache) ordered(b *bucket) bool { return b.pol == nil && c.links == nil }
+
+// linksOf returns bucket bi's recency list; see link.
+func (c *Cache) linksOf(bi int) []link {
+	return c.links[bi*(c.alpha+1) : (bi+1)*(c.alpha+1)]
+}
+
+func unlink(l []link, o int32) {
+	p, n := l[o].prev, l[o].next
+	l[p].next = n
+	l[n].prev = p
+}
+
+func pushFront(l []link, o int32) {
+	s := int32(len(l) - 1)
+	f := l[s].next
+	l[o] = link{prev: s, next: f}
+	l[f].prev = o
+	l[s].next = o
+}
+
+// touch records a hit on slot s of bucket bi and returns the slot that holds
+// the item afterwards. Under the in-slot LRU the item rotates to slot 0;
+// otherwise the bucket's policy or recency list is told and the slot stays
+// put. Caller holds the bucket's lock.
+func (c *Cache) touch(bi, s int) int {
+	lo := bi * c.alpha
+	if pol := c.buckets[bi].pol; pol != nil {
+		pol.Request(c.keys[s])
+		return s
+	}
+	if c.links != nil {
+		l := c.linksOf(bi)
+		unlink(l, int32(s-lo))
+		pushFront(l, int32(s-lo))
+		return s
+	}
+	if s == lo {
+		return s
+	}
+	k, v := c.keys[s], c.vals[s]
+	copy(c.keys[lo+1:s+1], c.keys[lo:s])
+	copy(c.vals[lo+1:s+1], c.vals[lo:s])
+	c.keys[lo], c.vals[lo] = k, v
+	return lo
+}
+
+// remove deletes the resident in slot s of bucket bi — no eviction is
+// counted — and clears its awaiting-remap mark. Caller holds the bucket's
+// lock.
+func (c *Cache) remove(bi, s int) {
+	b := &c.buckets[bi]
+	item := c.keys[s]
+	if b.pol != nil {
+		b.pol.Delete(item)
+	}
+	c.dropSlot(bi, s)
+	c.clearOldMark(b, item)
+	c.occupancy.Add(-1)
+}
+
+// dropSlot empties slot s of bucket bi: in slot order, by shifting the
+// later slots down; otherwise by moving the last occupied slot into it. It
+// touches neither the policy nor any counter. Caller holds the bucket's
+// lock.
+func (c *Cache) dropSlot(bi, s int) {
+	b := &c.buckets[bi]
+	lo := bi * c.alpha
+	end := lo + int(b.n) - 1
+	if c.ordered(b) {
+		copy(c.keys[s:end], c.keys[s+1:end+1])
+		copy(c.vals[s:end], c.vals[s+1:end+1])
+	} else {
+		o, oe := int32(s-lo), int32(end-lo)
+		if c.links != nil {
+			// Unlink s, then re-point the last slot's neighbours at s.
+			l := c.linksOf(bi)
+			unlink(l, o)
+			if o != oe {
+				l[o] = l[oe]
+				l[l[o].prev].next = o
+				l[l[o].next].prev = o
+			}
+		}
+		if c.index != nil {
+			delete(c.index[bi], c.keys[s])
+			if o != oe {
+				c.index[bi][c.keys[end]] = o
+			}
+		}
+		c.keys[s], c.vals[s] = c.keys[end], c.vals[end]
+	}
+	c.vals[end] = nil
+	b.n--
 }
 
 // clearOldMark removes item's awaiting-remap marker, if present. Caller
 // holds b.mu.
 func (c *Cache) clearOldMark(b *bucket, item trace.Item) {
-	if b.old == nil {
+	if len(b.old) == 0 {
 		return
 	}
 	if _, ok := b.old[item]; ok {
@@ -411,19 +586,15 @@ func (c *Cache) clearOldMark(b *bucket, item trace.Item) {
 	}
 }
 
-// lockPair locks two distinct buckets in index order, avoiding deadlock
-// between operations whose old/new buckets cross.
-func (c *Cache) lockPair(i, j int) {
-	if i > j {
-		i, j = j, i
-	}
-	c.buckets[i].mu.Lock()
-	c.buckets[j].mu.Lock()
-}
-
-func (c *Cache) unlockPair(i, j int) {
-	c.buckets[i].mu.Unlock()
-	c.buckets[j].mu.Unlock()
+// Put caches value under key, evicting from the target bucket if needed.
+// It returns the evicted key and whether an eviction happened.
+func (c *Cache) Put(key uint64, value interface{}) (evictedKey uint64, evicted bool) {
+	item := trace.Item(key)
+	nb, ob, slow := c.acquire(item)
+	bi, s := c.find(nb, ob, item)
+	victim, didEvict := c.write(nb, bi, s, item, value)
+	c.release(nb, ob, slow)
+	return uint64(victim), didEvict
 }
 
 // Update atomically reads and conditionally replaces the value cached
@@ -444,78 +615,20 @@ func (c *Cache) unlockPair(i, j int) {
 // report.
 func (c *Cache) Update(key uint64, fn func(old interface{}, present bool) (interface{}, bool)) (stored bool, evictedKey uint64, evicted bool) {
 	item := trace.Item(key)
-	if st, victim, didEvict, fast := c.updateFast(item, fn); fast {
-		return st, uint64(victim), didEvict
-	}
-	c.rehashMu.RLock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
+	nb, ob, slow := c.acquire(item)
+	bi, s := c.find(nb, ob, item)
+	var old interface{}
+	if s >= 0 {
+		old = c.vals[s]
 	}
 	var victim trace.Item
 	var didEvict bool
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		old, present := b.values[item]
-		if v, store := fn(old, present); store {
-			stored = true
-			c.clearOldMark(b, item)
-			victim, didEvict = c.insertLocked(b, item, v)
-		}
-		b.mu.Unlock()
-	} else {
-		bn, bo := &c.buckets[nb], &c.buckets[ob]
-		c.lockPair(nb, ob)
-		old, present := bn.values[item]
-		inOld := false
-		if !present {
-			if _, isOld := bo.old[item]; isOld {
-				old, present = bo.values[item], true
-				inOld = true
-			}
-		}
-		if v, store := fn(old, present); store {
-			stored = true
-			if inOld {
-				// Overwrite of a non-remapped item: drop the stale resident
-				// and store fresh in the new bucket, exactly like Put.
-				bo.pol.Delete(item)
-				delete(bo.values, item)
-				delete(bo.old, item)
-				c.pending.Add(-1)
-				c.occupancy.Add(-1)
-			}
-			victim, didEvict = c.insertLocked(bn, item, v)
-		}
-		c.unlockPair(nb, ob)
-	}
-	c.rehashMu.RUnlock()
-	c.maybeFinishMigration()
-	return stored, uint64(victim), didEvict
-}
-
-// updateFast is Update's single-bucket fast path; see getFast.
-func (c *Cache) updateFast(item trace.Item, fn func(old interface{}, present bool) (interface{}, bool)) (stored bool, victim trace.Item, didEvict, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return false, 0, false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return false, 0, false, false
-	}
-	old, present := b.values[item]
-	if v, store := fn(old, present); store {
+	if v, store := fn(old, s >= 0); store {
 		stored = true
-		victim, didEvict = c.insertLocked(b, item, v)
+		victim, didEvict = c.write(nb, bi, s, item, v)
 	}
-	b.mu.Unlock()
-	return stored, victim, didEvict, true
+	c.release(nb, ob, slow)
+	return stored, uint64(victim), didEvict
 }
 
 // GetOrLoad returns the cached value for key, or runs load exactly once (per
@@ -536,75 +649,26 @@ func (c *Cache) GetOrLoad(key uint64, load func() (interface{}, error)) (interfa
 
 // Delete removes key, reporting whether it was present.
 func (c *Cache) Delete(key uint64) bool {
+	return c.DeleteIf(key, func(interface{}) bool { return true })
+}
+
+// DeleteIf removes key only if fn, called with the current value under the
+// owning bucket's lock, returns true. The read-check-delete is one critical
+// section — the conditional mirror of Update — so a concurrent write cannot
+// land between fn's decision and the removal. It reports whether a delete
+// happened; an absent key never invokes fn. This is the primitive behind
+// tombstone reaping: "delete this tombstone unless someone revived the key
+// since I scanned it" must be atomic or the reap races a reviving write.
+func (c *Cache) DeleteIf(key uint64, fn func(v interface{}) bool) bool {
 	item := trace.Item(key)
-	if ok, fast := c.deleteFast(item); fast {
-		return ok
+	nb, ob, slow := c.acquire(item)
+	bi, s := c.find(nb, ob, item)
+	ok := s >= 0 && fn(c.vals[s])
+	if ok {
+		c.remove(bi, s)
 	}
-	ok := c.delete(item)
-	c.maybeFinishMigration()
+	c.release(nb, ob, slow)
 	return ok
-}
-
-// deleteFast is Delete's single-bucket fast path; see getFast.
-func (c *Cache) deleteFast(item trace.Item) (ok, fast bool) {
-	p := c.pair.Load()
-	if p.old != nil || disableFastPath {
-		return false, false
-	}
-	b := &c.buckets[p.hasher.Bucket(item)]
-	b.mu.Lock()
-	if c.pair.Load() != p {
-		b.mu.Unlock()
-		return false, false
-	}
-	if !b.pol.Delete(item) {
-		b.mu.Unlock()
-		return false, true
-	}
-	delete(b.values, item)
-	c.occupancy.Add(-1)
-	b.mu.Unlock()
-	return true, true
-}
-
-func (c *Cache) delete(item trace.Item) bool {
-	c.rehashMu.RLock()
-	defer c.rehashMu.RUnlock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if !b.pol.Delete(item) {
-			return false
-		}
-		delete(b.values, item)
-		c.clearOldMark(b, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-	if bn.pol.Delete(item) {
-		delete(bn.values, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		return true
-	}
-	return false
 }
 
 // Rehash begins an online incremental rehash: a fresh indexing hash is
@@ -627,9 +691,7 @@ func (c *Cache) Rehash() {
 			b := &c.buckets[i]
 			b.mu.Lock()
 			for it := range b.old {
-				b.pol.Delete(it)
-				delete(b.values, it)
-				c.occupancy.Add(-1)
+				c.remove(i, c.slotOf(i, it))
 				c.flushEvictions.Add(1)
 			}
 			b.old = nil
@@ -656,12 +718,12 @@ func (c *Cache) Rehash() {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		items := b.pol.Items()
-		b.old = make(map[trace.Item]struct{}, len(items))
-		for _, it := range items {
+		lo := i * c.alpha
+		b.old = make(map[trace.Item]struct{}, b.n)
+		for _, it := range c.keys[lo : lo+int(b.n)] {
 			b.old[it] = struct{}{}
 		}
-		total += len(items)
+		total += int(b.n)
 		b.mu.Unlock()
 	}
 	c.rehashes.Add(1)
@@ -690,11 +752,7 @@ func (c *Cache) migrateSteps() {
 		b.mu.Lock()
 		evicted := false
 		for it := range b.old {
-			b.pol.Delete(it)
-			delete(b.values, it)
-			delete(b.old, it)
-			c.pending.Add(-1)
-			c.occupancy.Add(-1)
+			c.remove(int(i), c.slotOf(int(i), it))
 			c.flushEvictions.Add(1)
 			evicted = true
 			break
@@ -736,7 +794,7 @@ func (c *Cache) Len() int {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		total += b.pol.Len()
+		total += int(b.n)
 		b.mu.Unlock()
 	}
 	return total
@@ -747,14 +805,7 @@ func (c *Cache) Len() int {
 // appear; no key is reported twice.
 func (c *Cache) Keys() []uint64 {
 	out := make([]uint64, 0, c.occupancy.Load())
-	for i := range c.buckets {
-		b := &c.buckets[i]
-		b.mu.Lock()
-		for it := range b.values {
-			out = append(out, uint64(it))
-		}
-		b.mu.Unlock()
-	}
+	c.Entries(func(key uint64, _ interface{}) { out = append(out, key) })
 	return out
 }
 
@@ -769,73 +820,11 @@ func (c *Cache) Entries(visit func(key uint64, v interface{})) {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		for it, v := range b.values {
-			visit(uint64(it), v)
+		for s := i * c.alpha; s < i*c.alpha+int(b.n); s++ {
+			visit(uint64(c.keys[s]), c.vals[s])
 		}
 		b.mu.Unlock()
 	}
-}
-
-// DeleteIf removes key only if fn, called with the current value under the
-// owning bucket's lock, returns true. The read-check-delete is one critical
-// section — the conditional mirror of Update — so a concurrent write cannot
-// land between fn's decision and the removal. It reports whether a delete
-// happened; an absent key never invokes fn. This is the primitive behind
-// tombstone reaping: "delete this tombstone unless someone revived the key
-// since I scanned it" must be atomic or the reap races a reviving write.
-func (c *Cache) DeleteIf(key uint64, fn func(v interface{}) bool) bool {
-	ok := c.deleteIf(trace.Item(key), fn)
-	c.maybeFinishMigration()
-	return ok
-}
-
-func (c *Cache) deleteIf(item trace.Item, fn func(v interface{}) bool) bool {
-	c.rehashMu.RLock()
-	defer c.rehashMu.RUnlock()
-	p := c.pair.Load()
-	nb := p.hasher.Bucket(item)
-	ob := nb
-	if p.old != nil {
-		ob = p.old.Bucket(item)
-	}
-	if ob == nb {
-		b := &c.buckets[nb]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		v, present := b.values[item]
-		if !present || !fn(v) {
-			return false
-		}
-		b.pol.Delete(item)
-		delete(b.values, item)
-		c.clearOldMark(b, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	bn, bo := &c.buckets[nb], &c.buckets[ob]
-	c.lockPair(nb, ob)
-	defer c.unlockPair(nb, ob)
-	if v, present := bn.values[item]; present {
-		if !fn(v) {
-			return false
-		}
-		bn.pol.Delete(item)
-		delete(bn.values, item)
-		c.occupancy.Add(-1)
-		return true
-	}
-	if _, isOld := bo.old[item]; isOld {
-		if !fn(bo.values[item]) {
-			return false
-		}
-		bo.pol.Delete(item)
-		delete(bo.values, item)
-		delete(bo.old, item)
-		c.pending.Add(-1)
-		c.occupancy.Add(-1)
-		return true
-	}
-	return false
 }
 
 // Capacity returns the total entry capacity k.
@@ -920,7 +909,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	for i := range c.buckets {
 		b := &c.buckets[i]
 		b.mu.Lock()
-		out[i] = ShardStat{Hits: b.hits, Misses: b.misses, Evictions: b.evictions, Len: b.pol.Len()}
+		out[i] = ShardStat{Hits: b.hits, Misses: b.misses, Evictions: b.evictions, Len: int(b.n)}
 		b.mu.Unlock()
 	}
 	return out

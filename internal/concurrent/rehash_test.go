@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -181,9 +182,25 @@ func TestCounterConservation(t *testing.T) {
 
 // TestConcurrentRehashStress rehashes repeatedly while readers and writers
 // hammer the cache; run with -race. Invariants: counters conserve, the
-// migration always drains, and occupancy never exceeds capacity.
+// migration always drains, and occupancy never exceeds capacity. It runs
+// once per bucket layout: LRU in slot order, LRU on the indexed sets'
+// recency lists, and clock beside scanned and indexed slots.
 func TestConcurrentRehashStress(t *testing.T) {
-	c, err := New(Config{Capacity: 512, Alpha: 8, Seed: 23, MigrationPerMiss: 2})
+	for _, tc := range []struct {
+		kind  policy.Kind
+		alpha int
+	}{{policy.LRUKind, 8}, {policy.LRUKind, 128}, {policy.ClockKind, 8}, {policy.ClockKind, 128}} {
+		t.Run(fmt.Sprintf("%v/alpha=%d", tc.kind, tc.alpha), func(t *testing.T) {
+			testConcurrentRehashStress(t, Config{
+				Capacity: 512, Alpha: tc.alpha, Seed: 23, MigrationPerMiss: 2,
+				Policy: policy.NewFactory(tc.kind, 23),
+			})
+		})
+	}
+}
+
+func testConcurrentRehashStress(t *testing.T, cfg Config) {
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +269,22 @@ func TestConcurrentRehashStress(t *testing.T) {
 	// Occupancy bookkeeping must agree with a fresh bucket-by-bucket count.
 	if got := c.Len(); got != int(c.occupancy.Load()) {
 		t.Fatalf("occupancy counter %d != recount %d", c.occupancy.Load(), got)
+	}
+	// Every resident is reachable under the final hash with its own value.
+	n := 0
+	c.Entries(func(key uint64, v interface{}) {
+		n++
+		if v != key {
+			t.Errorf("entry %d holds %v", key, v)
+		}
+	})
+	for _, key := range c.Keys() {
+		if v, ok := c.Get(key); !ok || v != key {
+			t.Fatalf("resident %d: Get = %v, %v", key, v, ok)
+		}
+	}
+	if n != c.Len() {
+		t.Fatalf("%d entries, Len %d", n, c.Len())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments defines the reproduction experiments E1–E19, one per
-// quantitative claim of the paper (see DESIGN.md §3 for the index). Each
-// experiment is a pure function of a Config, returns a structured result,
-// and renders a stats.Table shaped like the claim it validates. The
+// quantitative claim of the paper (cmd/assocbench/main.go maps each id to
+// its claim). Each experiment is a pure function of a Config, returns a
+// structured result, and renders a stats.Table shaped like the claim it validates. The
 // cmd/assocbench binary prints the tables; bench_test.go at the module root
 // exposes each experiment as a testing.B benchmark; the package tests assert
 // the *shape* of each result (who wins, by roughly what factor, where the

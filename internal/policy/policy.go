@@ -144,9 +144,9 @@ func (k Kind) Lazy() bool { return k != FlushWhenFullKind }
 // k = 2 is σ = A A B C B C: after A's count reaches 2, B and C (count ≤ 1)
 // evict each other, giving 4 misses on the window B C B C, which has only 2
 // distinct items. internal/stability's randomized search finds such
-// witnesses immediately, so we classify LFU as non-conservative; see
-// EXPERIMENTS.md (E10) for the discrepancy discussion. LRU-K (K ≥ 2),
-// reuse-distance and random are likewise not conservative.
+// witnesses immediately, so we classify LFU as non-conservative; experiment
+// E10 (internal/experiments/e10_e12_stability.go) reports the witness.
+// LRU-K (K ≥ 2), reuse-distance and random are likewise not conservative.
 func (k Kind) Conservative() bool {
 	switch k {
 	case LRUKind, FIFOKind, ClockKind:

@@ -548,9 +548,15 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 // WriteBuffers lets the wire.Writer's corked flush reach the connection
 // as one vectored write (writev) instead of one Write syscall per
 // segment — without it, wrapping the conn in a byte counter would undo
-// the batching the codec set up.
-func (cw countingWriter) WriteBuffers(v *net.Buffers) (int64, error) {
-	n, err := v.WriteTo(cw.w)
+// the batching the codec set up. A wrapped conn that is itself a wrapper
+// (it implements wire.BuffersWriter) gets the whole flush too; a bare
+// *net.TCPConn gets writev from net.Buffers.WriteTo.
+func (cw countingWriter) WriteBuffers(v *net.Buffers) (n int64, err error) {
+	if bw, ok := cw.w.(wire.BuffersWriter); ok {
+		n, err = bw.WriteBuffers(v)
+	} else {
+		n, err = v.WriteTo(cw.w)
+	}
 	cw.c.Add(uint64(n))
 	return n, err
 }

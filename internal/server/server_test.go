@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -844,5 +845,96 @@ func TestOldClientVersionError(t *testing.T) {
 	}
 	if !strings.Contains(resp.Err, "unsupported protocol version") {
 		t.Fatalf("error message %q does not name the version mismatch", resp.Err)
+	}
+}
+
+// buffersConn is a conn wrapper of the kind an instrumented deployment
+// puts under the server: it implements wire.BuffersWriter and counts how
+// each flush reaches it.
+type buffersConn struct {
+	net.Conn
+	writes, writeBuffers *atomic.Int64
+}
+
+func (c buffersConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c buffersConn) WriteBuffers(v *net.Buffers) (int64, error) {
+	c.writeBuffers.Add(1)
+	return v.WriteTo(c.Conn)
+}
+
+type buffersListener struct {
+	net.Listener
+	writes, writeBuffers atomic.Int64
+}
+
+func (l *buffersListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return buffersConn{conn, &l.writes, &l.writeBuffers}, nil
+}
+
+// TestFlushReachesWrappedConnAsOneWrite pins the server's vectored flush
+// behind a conn wrapper: a pipelined batch whose responses include an
+// 8 KiB hit (sent as its own zero-copy segment) must reach the wrapper as
+// exactly one WriteBuffers call, not one Write per segment.
+func TestFlushReachesWrappedConnAsOneWrite(t *testing.T) {
+	cache, err := concurrent.New(concurrent.Config{Capacity: 64, Alpha: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(cache)
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &buffersListener{Listener: tcp}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	c, err := wire.Dial(tcp.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	big := make([]byte, 8<<10)
+	for i := range big {
+		big[i] = byte(i)
+	}
+	if _, err := c.Set(1, big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Set(2, []byte("small")); err != nil {
+		t.Fatal(err)
+	}
+
+	writes, writeBuffers := ln.writes.Load(), ln.writeBuffers.Load()
+	for _, k := range []uint64{2, 1, 3, 2} {
+		if err := c.EnqueueGet(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{5, len(big), 0, 5} {
+		resp, err := c.ReadResponse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Value) != want {
+			t.Fatalf("response %d: %v with %d bytes, want %d", i, resp.Status, len(resp.Value), want)
+		}
+	}
+	if got := ln.writeBuffers.Load() - writeBuffers; got != 1 {
+		t.Errorf("batch flush reached the wrapper as %d WriteBuffers calls, want 1", got)
+	}
+	if got := ln.writes.Load() - writes; got != 0 {
+		t.Errorf("batch flush reached the wrapper as %d extra Write calls, want 0", got)
 	}
 }
