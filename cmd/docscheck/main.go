@@ -1,7 +1,8 @@
 // Command docscheck is the documentation gate CI runs: it fails when an
 // exported identifier in the given packages lacks a doc comment (the
 // `revive exported` rule, implemented here so CI needs no third-party
-// tool), or when a relative link or intra-document anchor in the given
+// tool), when a comment in those packages names a markdown file that does
+// not exist, or when a relative link or intra-document anchor in the given
 // markdown files points nowhere.
 //
 // Usage:
@@ -10,7 +11,10 @@
 //
 // Each package directory is parsed (tests excluded) and every exported
 // top-level func, method, type, const and var must carry a doc comment on
-// its declaration or its spec. Each markdown file's links are resolved
+// its declaration or its spec. A `*.md` name in a comment must resolve
+// against the package directory or one of its ancestors up to the module
+// root (the nearest go.mod), so "see ARCHITECTURE.md" from a package
+// finds the repository's copy. Each markdown file's links are resolved
 // relative to the file; http(s) and mailto targets are skipped, `#anchor`
 // fragments are checked against GitHub-style heading slugs of the target
 // document.
@@ -64,7 +68,8 @@ func fatal(err error) {
 }
 
 // checkPackageDocs reports every exported top-level identifier in dir's
-// non-test files that has no doc comment.
+// non-test files that has no doc comment, and every markdown file named
+// in those files' comments that does not exist.
 func checkPackageDocs(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -80,6 +85,14 @@ func checkPackageDocs(dir string) ([]string, error) {
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, name := range mdNameRe.FindAllString(cg.Text(), -1) {
+					if !docExists(dir, name) {
+						p := fset.Position(cg.Pos())
+						problems = append(problems, fmt.Sprintf("%s:%d: comment names %s, which does not exist", p.Filename, p.Line, name))
+					}
+				}
+			}
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
@@ -110,6 +123,32 @@ func checkPackageDocs(dir string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// mdNameRe matches a markdown file name, optionally with a relative path.
+var mdNameRe = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// docExists reports whether name resolves against dir or one of its
+// ancestors, stopping at the module root (the first directory holding a
+// go.mod) or the filesystem root.
+func docExists(dir, name string) bool {
+	d, err := filepath.Abs(dir)
+	if err != nil {
+		return false
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(d, name)); err == nil {
+			return true
+		}
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return false
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return false
+		}
+		d = parent
+	}
 }
 
 func kindOf(tok token.Token) string {

@@ -9,7 +9,7 @@ import (
 
 // TestRouterGetBatchAllocs gates the router's plain GetBatch fan-out at
 // zero heap allocations per batch in steady state: the partition scratch
-// (idxs, byNode map, subBatch structs) is pooled, the member locks are
+// (idxs, subBatch structs) is pooled, the member locks are
 // taken without closures, and the wire codec underneath is allocation-free.
 // AllocsPerRun counts process-global mallocs, so the member servers'
 // request handling is inside the gate too.

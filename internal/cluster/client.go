@@ -457,17 +457,26 @@ func (c *Client) partition(sc *batchScratch, keys []uint64) ([]*subBatch, error)
 // partition over a subset, for the lease paths that carve a batch into
 // near-served, granted and remote fractions. The returned sub-batches are
 // owned by sc and die at sc.release. Caller holds c.mu (either side).
+//
+// A key's sub-batch is found by scanning the batch's sub-batches by
+// address: there are at most as many as members, so the scan is shorter
+// than hashing the address into a map, and only a member's first key
+// looks its connection up in c.nodes.
 func (c *Client) partitionIdx(sc *batchScratch, keys []uint64, idxs []int) ([]*subBatch, error) {
 	for _, i := range idxs {
 		addr, ok := c.ring.Node(keys[i])
 		if !ok {
 			return nil, fmt.Errorf("cluster: empty ring")
 		}
-		nc := c.nodes[addr]
-		sub := sc.byNode[nc]
+		var sub *subBatch
+		for _, s := range sc.subs {
+			if s.nc.addr == addr {
+				sub = s
+				break
+			}
+		}
 		if sub == nil {
-			sub = sc.newSub(nc)
-			sc.byNode[nc] = sub
+			sub = sc.newSub(c.nodes[addr])
 			sc.subs = append(sc.subs, sub)
 		}
 		sub.idx = append(sub.idx, i)
@@ -530,9 +539,9 @@ func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byt
 // epoch each one carries.
 func (c *Client) readGets(s *subBatch, keys []uint64, visit func(i int, hit bool, value []byte)) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)
@@ -626,9 +635,9 @@ func (c *Client) setBatchPlain(keys []uint64, bt batchTrace, value func(i int) [
 // stored value under the version the owner assigned it.
 func (c *Client) readSets(s *subBatch, keys []uint64, value func(i int) []byte) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)

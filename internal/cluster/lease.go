@@ -293,9 +293,9 @@ func (s *subBatch) enqueueGetsLease(dial DialFunc, keys []uint64, bt batchTrace,
 // are served as hits, and bare zero-token responses join waiters.
 func (c *Client) readGetsLeased(s *subBatch, keys []uint64, waiters *[]int, visit func(i int, hit bool, value []byte)) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)
@@ -508,9 +508,9 @@ func (s *subBatch) enqueueFills(dial DialFunc, keys []uint64, grants map[int]*le
 // state won, which is exactly the invariant the lease exists to keep.
 func (c *Client) readFills(s *subBatch, keys []uint64, rf int, bt batchTrace, value func(i int) []byte) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)

@@ -312,9 +312,9 @@ func (c *Client) partitionRound(pending []int, owners [][]string, round int) []*
 func (c *Client) readGetsReplicated(s *subBatch, keys []uint64, bt batchTrace, round int, last bool,
 	missedAt [][]string, next *[]int, waiters *[]int, visit func(i int, hit bool, value []byte)) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)
@@ -468,9 +468,9 @@ func (c *Client) setBatchReplicated(keys []uint64, bt batchTrace, value func(i i
 // and observing the topology epoch each response carries.
 func (c *Client) readSetsAcked(s *subBatch, acks []int, vers []uint64) error {
 	cl := s.nc.cl
+	var resp wire.Response
 	for _, i := range s.idx[s.delivered:] {
-		resp, err := cl.ReadResponse()
-		if err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			return err
 		}
 		c.observeEpoch(resp.Epoch)

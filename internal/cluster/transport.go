@@ -94,20 +94,19 @@ type subBatch struct {
 }
 
 // batchScratch is the per-batch partition state — the identity index list,
-// the member→sub-batch map, the ordered sub-batch slice and a freelist of
-// recycled subBatch structs (with their idx capacity retained). Pooled so a
-// steady-state GetBatch/SetBatch allocates none of it. A scratch is private
-// to one batch from getBatchScratch until release, so no locking is needed
-// beyond sync.Pool's own.
+// the sub-batch slice and a freelist of recycled subBatch structs (with
+// their idx capacity retained). Pooled so a steady-state GetBatch/SetBatch
+// allocates none of it. A scratch is private to one batch from
+// getBatchScratch until release, so no locking is needed beyond
+// sync.Pool's own.
 type batchScratch struct {
-	idxs   []int
-	byNode map[*nodeConn]*subBatch
-	subs   []*subBatch
-	free   []*subBatch
+	idxs []int
+	subs []*subBatch
+	free []*subBatch
 }
 
 var batchScratchPool = sync.Pool{
-	New: func() any { return &batchScratch{byNode: make(map[*nodeConn]*subBatch, 8)} },
+	New: func() any { return &batchScratch{} },
 }
 
 func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScratch) }
@@ -116,7 +115,6 @@ func getBatchScratch() *batchScratch { return batchScratchPool.Get().(*batchScra
 // Callers must be done with every *subBatch and idx slice handed out from
 // this scratch: they are reused verbatim by the next batch.
 func (sc *batchScratch) release() {
-	clear(sc.byNode)
 	for _, s := range sc.subs {
 		s.nc = nil
 		s.idx = s.idx[:0]

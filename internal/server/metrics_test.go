@@ -254,7 +254,7 @@ func TestSpansAndHotKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := c.ReadResponse(); err != nil {
+		if err := c.ReadResponse(&wire.Response{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +326,7 @@ func TestSlowOpTraceJoin(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadResponse(); err != nil {
+	if err := c.ReadResponse(&wire.Response{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Get(9); err != nil { // untraced slow op
@@ -375,7 +375,7 @@ func TestRepairDrainSpan(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadResponse(); err != nil {
+	if err := c.ReadResponse(&wire.Response{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -463,22 +463,28 @@ func (s *Server) handleConn(conn net.Conn) {
 			// Tell the peer *why* before closing: the ERROR frame layout is
 			// stable across revisions, so even an older client reads the
 			// documented version error instead of a bare EOF.
-			w.WriteResponse(wire.Response{
+			w.WriteResponse(&wire.Response{
 				Status: wire.StatusError, Epoch: s.epoch.Load(), Err: err.Error(),
 			})
 			w.Flush()
 		}
 		return
 	}
+	// One decode target and one answer per connection, reused for every
+	// request: both are overwritten whole on each use.
+	var (
+		req  wire.Request
+		resp wire.Response
+	)
 	for {
-		req, err := r.ReadRequest()
-		if err != nil {
+		if err := r.ReadRequest(&req); err != nil {
 			return // clean EOF or protocol error; either way the conn is done
 		}
 		// Service time: request decoded → response encoded. The clock
 		// starts after ReadRequest so idle wait between pipelined requests
-		// never pollutes the histograms.
-		t0 := time.Now()
+		// never pollutes the histograms. Both ends read only the monotonic
+		// clock.
+		t0 := time.Since(clockBase)
 		var ver uint64
 		status := wire.StatusKeys
 		if req.Op == wire.OpKeys {
@@ -487,15 +493,15 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		} else {
-			resp := s.apply(req)
+			s.apply(&req, &resp)
 			resp.Epoch = s.epoch.Load()
 			ver = resp.Version
 			status = resp.Status
-			if err := w.WriteResponse(resp); err != nil {
+			if err := w.WriteResponse(&resp); err != nil {
 				return
 			}
 		}
-		s.observe(req, status, ver, time.Since(t0))
+		s.observe(&req, status, ver, time.Since(clockBase)-t0)
 		// Pipelining: only pay the syscall when the client has no more
 		// requests already buffered.
 		if r.Buffered() == 0 {
@@ -505,6 +511,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 	}
 }
+
+// clockBase anchors the service-time clock: time.Since on a Time carrying
+// a monotonic reading reads only the monotonic clock, which is cheaper than
+// time.Now (that one reads the wall clock too).
+var clockBase = time.Now()
 
 // connReadBufSize sizes each connection's wire.Reader stream buffer.
 // Chosen from measurement, not defaults (PR 9 / hypotheses/H3): request
@@ -565,7 +576,7 @@ func (cw countingWriter) WriteBuffers(v *net.Buffers) (n int64, err error) {
 // its key into the op class's hot-key sketch, a span when the request
 // was sampled, and — when it crossed the slow threshold — a slow-op
 // record carrying the trace ID (all-zero when untraced).
-func (s *Server) observe(req wire.Request, status wire.Status, ver uint64, d time.Duration) {
+func (s *Server) observe(req *wire.Request, status wire.Status, ver uint64, d time.Duration) {
 	op := int(req.Op)
 	if op <= 0 || op >= len(s.opHists) {
 		return // unknown op: answered with ERROR, nothing to attribute
@@ -676,47 +687,52 @@ func (s *Server) streamKeys(w *wire.Writer) error {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		if err := w.WriteResponse(wire.Response{
+		if err := w.WriteResponse(&wire.Response{
 			Status: wire.StatusKeys, Keys: recs[off:end], Epoch: s.epoch.Load(),
 		}); err != nil {
 			return err
 		}
 	}
-	return w.WriteResponse(wire.Response{Status: wire.StatusKeys, Epoch: s.epoch.Load()})
+	return w.WriteResponse(&wire.Response{Status: wire.StatusKeys, Epoch: s.epoch.Load()})
 }
 
-// apply executes one request against the cache.
-func (s *Server) apply(req wire.Request) wire.Response {
+// apply executes one request against the cache, writing the answer into
+// resp; every field of resp is overwritten.
+func (s *Server) apply(req *wire.Request, resp *wire.Response) {
 	switch req.Op {
 	case wire.OpGet, wire.OpGetLease:
 		v, ok := s.cache.Get(req.Key)
-		if !ok {
-			if req.Op == wire.OpGetLease {
-				return s.leaseMiss(req.Key)
-			}
-			return wire.Response{Status: wire.StatusMiss}
-		}
-		switch e := v.(type) {
-		case *entry:
-			if e.tomb() {
-				// A tombstone is a resident record of an absence: reads see a
-				// miss (and may take a fresh fill lease — a post-delete load
-				// from the origin is a legitimate new write, it is only
-				// pre-delete copies the tombstone exists to block).
-				if req.Op == wire.OpGetLease {
-					return s.leaseMiss(req.Key)
+		if ok {
+			switch e := v.(type) {
+			case *entry:
+				if !e.tomb() {
+					// Version is set apart: with it in the literal, the
+					// compiler builds the literal in a temporary and copies
+					// it into *resp; without, it is built in place.
+					*resp = wire.Response{Status: wire.StatusHit, Value: e.val}
+					resp.Version = e.ver
+					return
 				}
-				return wire.Response{Status: wire.StatusMiss}
+				// A tombstone is a resident record of an absence: reads see
+				// a miss (and may take a fresh fill lease — a post-delete
+				// load from the origin is a legitimate new write, it is only
+				// pre-delete copies the tombstone exists to block).
+			case []byte:
+				// Values stored by in-process embedders sharing the cache
+				// carry no version; serve them at version 0 so any versioned
+				// write supersedes them.
+				*resp = wire.Response{Status: wire.StatusHit, Value: e}
+				return
+			default:
+				*resp = wire.Response{Status: wire.StatusError,
+					Err: fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)}
+				return
 			}
-			return wire.Response{Status: wire.StatusHit, Value: e.val, Version: e.ver}
-		case []byte:
-			// Values stored by in-process embedders sharing the cache carry
-			// no version; serve them at version 0 so any versioned write
-			// supersedes them.
-			return wire.Response{Status: wire.StatusHit, Value: e}
-		default:
-			return wire.Response{Status: wire.StatusError,
-				Err: fmt.Sprintf("non-wire value of type %T cached under key %d", v, req.Key)}
+		}
+		if req.Op == wire.OpGetLease {
+			*resp = s.leaseMiss(req.Key)
+		} else {
+			*resp = wire.Response{Status: wire.StatusMiss}
 		}
 	case wire.OpSet:
 		if req.Flags&wire.SetFlagRepair != 0 {
@@ -724,13 +740,13 @@ func (s *Server) apply(req wire.Request) wire.Response {
 		} else {
 			s.sets.Add(1)
 		}
-		// The request value aliases the reader's scratch buffer; copy before
+		// The request value aliases the reader's stream buffer; copy before
 		// it escapes into the cache or the maintenance queue.
 		val := append([]byte(nil), req.Value...)
-		if req.Flags&wire.SetFlagLease != 0 {
-			return s.leaseFill(req.Key, req.LeaseToken, val)
-		}
-		if req.Flags&wire.SetFlagAsync != 0 {
+		switch {
+		case req.Flags&wire.SetFlagLease != 0:
+			*resp = s.leaseFill(req.Key, req.LeaseToken, val)
+		case req.Flags&wire.SetFlagAsync != 0:
 			// OK means accepted: the write is applied (or shed) by the
 			// background worker, so maintenance floods never stall the
 			// request path. Eviction and the version outcome are unknowable
@@ -740,13 +756,15 @@ func (s *Server) apply(req wire.Request) wire.Response {
 				key: req.Key, val: val, flags: req.Flags, ver: req.Version, enq: time.Now(),
 				traced: req.Traced, trace: req.Trace,
 			})
-			return wire.Response{Status: wire.StatusOK}
+			*resp = wire.Response{Status: wire.StatusOK}
+		default:
+			applied, ver, evicted := s.store(req.Key, req.Flags, req.Version, val)
+			if applied {
+				*resp = wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
+			} else {
+				*resp = wire.Response{Status: wire.StatusVersionStale, Version: ver}
+			}
 		}
-		applied, ver, evicted := s.store(req.Key, req.Flags, req.Version, val)
-		if !applied {
-			return wire.Response{Status: wire.StatusVersionStale, Version: ver}
-		}
-		return wire.Response{Status: wire.StatusOK, Evicted: evicted, Version: ver}
 	case wire.OpDel:
 		// Drop the key's lease state *before* the tombstone store: killing
 		// the outstanding token first means no fill that observed the
@@ -757,29 +775,29 @@ func (s *Server) apply(req wire.Request) wire.Response {
 		if s.leaseEntries.Load() > 0 {
 			s.dropLease(req.Key)
 		}
-		return s.applyDel(req.Key)
+		*resp = s.applyDel(req.Key)
 	case wire.OpHint:
-		// The value aliases the reader's scratch buffer; copy before it
+		// The value aliases the reader's stream buffer; copy before it
 		// outlives this request in the hint queue.
 		var val []byte
 		if len(req.Value) > 0 {
 			val = append([]byte(nil), req.Value...)
 		}
 		s.queueHint(req.Target, req.Key, req.Tombstone, req.Version, val)
-		return wire.Response{Status: wire.StatusOK}
+		*resp = wire.Response{Status: wire.StatusOK}
 	case wire.OpStats:
-		return wire.Response{Status: wire.StatusStats, Stats: s.stats(req.Detail)}
+		*resp = wire.Response{Status: wire.StatusStats, Stats: s.stats(req.Detail)}
 	case wire.OpRehash:
 		s.cache.Rehash()
-		return wire.Response{Status: wire.StatusOK}
+		*resp = wire.Response{Status: wire.StatusOK}
 	case wire.OpMembers:
-		return wire.Response{Status: wire.StatusMembers, Topology: s.Topology()}
+		*resp = wire.Response{Status: wire.StatusMembers, Topology: s.Topology()}
 	case wire.OpTopology:
-		return wire.Response{Status: wire.StatusMembers, Topology: s.OfferTopology(req.Topology)}
+		*resp = wire.Response{Status: wire.StatusMembers, Topology: s.OfferTopology(req.Topology)}
 	case wire.OpMetrics:
-		return wire.Response{Status: wire.StatusMetrics, Metrics: s.MetricsSnapshot(req.MetricsFlags)}
+		*resp = wire.Response{Status: wire.StatusMetrics, Metrics: s.MetricsSnapshot(req.MetricsFlags)}
 	default:
-		return wire.Response{Status: wire.StatusError, Err: fmt.Sprintf("unknown op %v", req.Op)}
+		*resp = wire.Response{Status: wire.StatusError, Err: fmt.Sprintf("unknown op %v", req.Op)}
 	}
 }
 
@@ -1122,8 +1140,9 @@ func (s *Server) replayTarget(target string) int {
 		s.requeueHints(hints)
 		return 0
 	}
+	var resp wire.Response
 	for i := range hints {
-		if _, err := cl.ReadResponse(); err != nil {
+		if err := cl.ReadResponse(&resp); err != nil {
 			s.requeueHints(hints[i:])
 			n := i
 			s.hintsReplayed.Add(uint64(n))

@@ -545,7 +545,8 @@ func TestPipelinedMixedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		resp, err := c.ReadResponse()
+		var resp wire.Response
+		err := c.ReadResponse(&resp)
 		if err != nil {
 			t.Fatalf("SET response %d: %v", i, err)
 		}
@@ -555,7 +556,8 @@ func TestPipelinedMixedBatch(t *testing.T) {
 	}
 	hits := 0
 	for i := 0; i < n; i++ {
-		resp, err := c.ReadResponse()
+		var resp wire.Response
+		err := c.ReadResponse(&resp)
 		if err != nil {
 			t.Fatalf("GET response %d: %v", i, err)
 		}
@@ -836,7 +838,8 @@ func TestOldClientVersionError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := wire.NewReader(conn).ReadResponse()
+	var resp wire.Response
+	err = wire.NewReader(conn).ReadResponse(&resp)
 	if err != nil {
 		t.Fatalf("old client got %v instead of the documented version error", err)
 	}
@@ -923,7 +926,8 @@ func TestFlushReachesWrappedConnAsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []int{5, len(big), 0, 5} {
-		resp, err := c.ReadResponse()
+		var resp wire.Response
+		err := c.ReadResponse(&resp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,6 +36,7 @@ type topKStripe struct {
 	errs   []uint64
 	used   int
 	minCnt uint64 // lower bound on the smallest count once full
+	minAt  int    // slot of the last minimum found; the next scan starts there
 	// idx is an open-addressing index over keys: 0 empty, -1 tombstone,
 	// else slot+1. Tombstones from evictions are reclaimed by an in-place
 	// rebuild, so the sketch never allocates after construction.
@@ -176,18 +177,26 @@ func (s *topKStripe) rebuild() {
 	}
 }
 
-// argMin returns the slot with the smallest count. A cached lower bound
+// argMin returns a slot with the smallest count. A cached lower bound
 // lets the scan stop at the first slot matching it, so on heavy-tailed
 // streams — where many slots sit at the minimum — eviction is far cheaper
-// than a full scan.
+// than a full scan. The scan resumes at the previous minimum's slot and
+// wraps around, so it does not re-walk the hot prefix of slots that filled
+// first on every eviction. Any slot with the minimum count is a valid
+// space-saving victim, and counts only grow (an evicted slot restarts at
+// the old minimum + 1), so minCnt stays a lower bound across calls.
 func (s *topKStripe) argMin() int {
-	best, bestC := 0, s.counts[0]
-	for i := 1; i < len(s.counts) && bestC > s.minCnt; i++ {
-		if s.counts[i] < bestC {
-			best, bestC = i, s.counts[i]
+	n := len(s.counts)
+	best, bestC := s.minAt, s.counts[s.minAt]
+	for i, j := 1, s.minAt; i < n && bestC > s.minCnt; i++ {
+		if j++; j == n {
+			j = 0
+		}
+		if s.counts[j] < bestC {
+			best, bestC = j, s.counts[j]
 		}
 	}
-	s.minCnt = bestC
+	s.minCnt, s.minAt = bestC, best
 	return best
 }
 

@@ -135,6 +135,49 @@ func TestTopKEviction(t *testing.T) {
 	}
 }
 
+// TestTopKArgMinIsMinimum checks every space-saving eviction of a seeded
+// zipf stream into a full sketch against a brute-force scan of the
+// stripe: the victim argMin picks must hold the stripe's minimum count
+// (the resumed scan may pick any slot at the minimum, but never one
+// above it), and the cached bound must never exceed the true minimum.
+func TestTopKArgMinIsMinimum(t *testing.T) {
+	sk := NewTopK(64)
+	rng := rand.New(rand.NewSource(42))
+	z := rand.NewZipf(rng, 1.1, 1, 1<<16)
+	evictions := 0
+	for i := 0; i < 200000; i++ {
+		key := HashKey(z.Uint64())
+		h := HashKey(key)
+		s := &sk.stripes[h>>(64-3)]
+		if s.used < len(s.keys) || s.find(key, uint32(h)) >= 0 {
+			sk.Record(key)
+			continue
+		}
+		least := s.counts[0]
+		for _, c := range s.counts[1:] {
+			if c < least {
+				least = c
+			}
+		}
+		if s.minCnt > least {
+			t.Fatalf("eviction %d: cached bound %d exceeds the stripe minimum %d", evictions, s.minCnt, least)
+		}
+		sk.Record(key)
+		slot := s.find(key, uint32(h))
+		if slot < 0 {
+			t.Fatalf("eviction %d: recorded key not tracked", evictions)
+		}
+		// The newcomer inherits the victim's count as its error bound.
+		if s.errs[slot] != least {
+			t.Fatalf("eviction %d: victim held count %d, stripe minimum is %d", evictions, s.errs[slot], least)
+		}
+		evictions++
+	}
+	if evictions < 10000 {
+		t.Fatalf("only %d evictions; the stream must churn a full sketch", evictions)
+	}
+}
+
 // TestTopKConcurrent is the -race exercise across stripes.
 func TestTopKConcurrent(t *testing.T) {
 	sk := NewTopK(128)

@@ -42,7 +42,7 @@ func TestWriterFlushErrorSticky(t *testing.T) {
 	if err := w.WriteRequest(Request{Op: OpGet, Key: 8}); err != boom {
 		t.Fatalf("WriteRequest after failed flush = %v, want sticky %v", err, boom)
 	}
-	if err := w.WriteResponse(Response{Status: StatusMiss}); err != boom {
+	if err := w.WriteResponse(&Response{Status: StatusMiss}); err != boom {
 		t.Fatalf("WriteResponse after failed flush = %v, want sticky %v", err, boom)
 	}
 	calls := fw.calls
@@ -92,7 +92,7 @@ func TestCodecScratchShrinks(t *testing.T) {
 	big := make([]KeyRec, 2*codecShrinkCap/keyRecLen) // 2× the cap once encoded
 	var stream bytes.Buffer
 	w := NewWriter(&stream)
-	if err := w.WriteResponse(Response{Status: StatusKeys, Keys: big}); err != nil {
+	if err := w.WriteResponse(&Response{Status: StatusKeys, Keys: big}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -102,7 +102,7 @@ func TestCodecScratchShrinks(t *testing.T) {
 		t.Fatalf("precondition: chunk cap %d not grown past %d", cap(w.chunk), codecShrinkCap)
 	}
 	for i := 0; i < codecIdleFrames; i++ {
-		if err := w.WriteResponse(Response{Status: StatusMiss}); err != nil {
+		if err := w.WriteResponse(&Response{Status: StatusMiss}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
@@ -115,7 +115,8 @@ func TestCodecScratchShrinks(t *testing.T) {
 	}
 
 	r := NewReader(&stream)
-	resp, err := r.ReadResponse()
+	var resp Response
+	err := r.ReadResponse(&resp)
 	if err != nil || len(resp.Keys) != len(big) {
 		t.Fatalf("big KEYS frame: %d keys, %v", len(resp.Keys), err)
 	}
@@ -123,7 +124,7 @@ func TestCodecScratchShrinks(t *testing.T) {
 		t.Fatalf("precondition: body cap %d not grown past %d", cap(r.body), codecShrinkCap)
 	}
 	for i := 0; i < codecIdleFrames; i++ {
-		if resp, err := r.ReadResponse(); err != nil || resp.Status != StatusMiss {
+		if err := r.ReadResponse(&resp); err != nil || resp.Status != StatusMiss {
 			t.Fatalf("small frame %d: %v, %v", i, resp.Status, err)
 		}
 	}
@@ -155,7 +156,7 @@ func TestZeroCopyValueRoundTrip(t *testing.T) {
 	if err := w.WriteRequest(Request{Op: OpSet, Key: 2, Value: smallVal}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteResponse(Response{Status: StatusHit, Version: 9, Value: bigVal}); err != nil {
+	if err := w.WriteResponse(&Response{Status: StatusHit, Version: 9, Value: bigVal}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -163,15 +164,17 @@ func TestZeroCopyValueRoundTrip(t *testing.T) {
 	}
 
 	r := NewReader(&stream)
-	req, err := r.ReadRequest()
+	var req Request
+	err := r.ReadRequest(&req)
 	if err != nil || req.Key != 1 || !bytes.Equal(req.Value, bigVal) {
 		t.Fatalf("zero-copy SET decoded key=%d len=%d err=%v", req.Key, len(req.Value), err)
 	}
-	req, err = r.ReadRequest()
+	err = r.ReadRequest(&req)
 	if err != nil || req.Key != 2 || !bytes.Equal(req.Value, smallVal) {
 		t.Fatalf("copied SET decoded key=%d %q err=%v", req.Key, req.Value, err)
 	}
-	resp, err := r.ReadResponse()
+	var resp Response
+	err = r.ReadResponse(&resp)
 	if err != nil || resp.Status != StatusHit || resp.Version != 9 || !bytes.Equal(resp.Value, bigVal) {
 		t.Fatalf("zero-copy HIT decoded %v ver=%d len=%d err=%v",
 			resp.Status, resp.Version, len(resp.Value), err)

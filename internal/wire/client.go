@@ -195,18 +195,18 @@ func (c *Client) EnqueueDelTraced(key uint64, tc TraceContext) error {
 // Flush sends all buffered requests.
 func (c *Client) Flush() error { return c.w.Flush() }
 
-// ReadResponse reads the next pipelined response. The response Value
-// aliases an internal buffer valid until the next read.
-func (c *Client) ReadResponse() (Response, error) {
-	resp, err := c.r.ReadResponse()
-	if err != nil {
-		return resp, err
+// ReadResponse reads the next pipelined response into resp. The response
+// Value aliases a connection buffer valid until the next read, so batch
+// loops decode every response into one caller-owned Response.
+func (c *Client) ReadResponse(resp *Response) error {
+	if err := c.r.ReadResponse(resp); err != nil {
+		return err
 	}
 	c.lastEpoch = resp.Epoch
 	if resp.Status == StatusError {
-		return resp, fmt.Errorf("wire: server error: %s", resp.Err)
+		return fmt.Errorf("wire: server error: %s", resp.Err)
 	}
-	return resp, nil
+	return nil
 }
 
 // LastEpoch returns the server topology epoch carried by the most recent
@@ -215,14 +215,15 @@ func (c *Client) ReadResponse() (Response, error) {
 // staleness detection on ordinary traffic.
 func (c *Client) LastEpoch() uint64 { return c.lastEpoch }
 
-func (c *Client) roundTrip(req Request) (Response, error) {
-	if err := c.w.WriteRequest(req); err != nil {
-		return Response{}, err
+func (c *Client) roundTrip(req Request) (resp Response, err error) {
+	if err = c.w.WriteRequest(req); err != nil {
+		return resp, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return Response{}, err
+	if err = c.w.Flush(); err != nil {
+		return resp, err
 	}
-	return c.ReadResponse()
+	err = c.ReadResponse(&resp)
+	return resp, err
 }
 
 // Get fetches key. The returned value is a copy and safe to retain.
@@ -505,10 +506,12 @@ func (c *Client) KeysStream(visit func(chunk []KeyRec) error) error {
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	var verr error
+	var (
+		verr error
+		resp Response
+	)
 	for {
-		resp, err := c.ReadResponse()
-		if err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return err
 		}
 		if resp.Status != StatusKeys {
@@ -576,9 +579,9 @@ func (c *Client) GetBatchVersions(keys []uint64, visit func(i int, hit bool, ver
 	if err := c.Flush(); err != nil {
 		return err
 	}
+	var resp Response
 	for i := range keys {
-		resp, err := c.ReadResponse()
-		if err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return err
 		}
 		switch resp.Status {
@@ -610,9 +613,9 @@ func (c *Client) SetBatchFlags(keys []uint64, flags SetFlags, value func(i int) 
 	if err := c.Flush(); err != nil {
 		return err
 	}
+	var resp Response
 	for range keys {
-		resp, err := c.ReadResponse()
-		if err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return err
 		}
 		if resp.Status != StatusOK {
@@ -638,9 +641,9 @@ func (c *Client) SetBatchVersioned(keys []uint64, flags SetFlags, version func(i
 	if err := c.Flush(); err != nil {
 		return applied, stale, err
 	}
+	var resp Response
 	for range keys {
-		resp, err := c.ReadResponse()
-		if err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return applied, stale, err
 		}
 		switch resp.Status {
@@ -677,9 +680,9 @@ func (c *Client) SetBatchRecs(recs []KeyRec, flags SetFlags, value func(i int) [
 	if err := c.Flush(); err != nil {
 		return applied, stale, err
 	}
+	var resp Response
 	for range recs {
-		resp, err := c.ReadResponse()
-		if err != nil {
+		if err := c.ReadResponse(&resp); err != nil {
 			return applied, stale, err
 		}
 		switch resp.Status {

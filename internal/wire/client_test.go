@@ -40,11 +40,11 @@ func TestClientServerCloseMidPipeline(t *testing.T) {
 			t.Errorf("preamble: %v", err)
 			return
 		}
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			t.Errorf("request: %v", err)
 			return
 		}
-		w.WriteResponse(Response{Status: StatusMiss})
+		w.WriteResponse(&Response{Status: StatusMiss})
 		w.Flush()
 	})
 	c, err := Dial(addr)
@@ -61,11 +61,12 @@ func TestClientServerCloseMidPipeline(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.ReadResponse()
+	var resp Response
+	err = c.ReadResponse(&resp)
 	if err != nil || resp.Status != StatusMiss {
 		t.Fatalf("first pipelined response = %v, %v; want MISS", resp.Status, err)
 	}
-	if _, err := c.ReadResponse(); err == nil {
+	if err := c.ReadResponse(&Response{}); err == nil {
 		t.Fatal("read past server close succeeded; want error")
 	}
 }
@@ -79,7 +80,7 @@ func TestClientTruncatedResponse(t *testing.T) {
 		if err := r.ReadPreamble(); err != nil {
 			return
 		}
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			return
 		}
 		var ln [4]byte
@@ -137,7 +138,7 @@ func TestVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(conn)
-	if _, err := r.ReadResponse(); err == nil {
+	if err := r.ReadResponse(&Response{}); err == nil {
 		t.Fatal("read after mismatched preamble succeeded; want connection error")
 	}
 }
@@ -158,19 +159,19 @@ func TestClientKeysStream(t *testing.T) {
 			return
 		}
 		// First request: KEYS → three chunks + terminator, all epoch 9.
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			return
 		}
 		for _, c := range chunks {
-			w.WriteResponse(Response{Status: StatusKeys, Keys: c, Epoch: 9})
+			w.WriteResponse(&Response{Status: StatusKeys, Keys: c, Epoch: 9})
 		}
-		w.WriteResponse(Response{Status: StatusKeys, Epoch: 9})
+		w.WriteResponse(&Response{Status: StatusKeys, Epoch: 9})
 		w.Flush()
 		// Second request: GET → MISS, proving the stream terminated cleanly.
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			return
 		}
-		w.WriteResponse(Response{Status: StatusMiss, Epoch: 9})
+		w.WriteResponse(&Response{Status: StatusMiss, Epoch: 9})
 		w.Flush()
 	})
 	c, err := Dial(addr)
@@ -221,18 +222,18 @@ func TestClientKeysStreamVisitError(t *testing.T) {
 		if err := r.ReadPreamble(); err != nil {
 			return
 		}
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			return
 		}
 		for _, c := range [][]KeyRec{{{Key: 1}, {Key: 2}}, {{Key: 3}, {Key: 4}}, {{Key: 5}}} {
-			w.WriteResponse(Response{Status: StatusKeys, Keys: c})
+			w.WriteResponse(&Response{Status: StatusKeys, Keys: c})
 		}
-		w.WriteResponse(Response{Status: StatusKeys})
+		w.WriteResponse(&Response{Status: StatusKeys})
 		w.Flush()
-		if _, err := r.ReadRequest(); err != nil {
+		if err := r.ReadRequest(&Request{}); err != nil {
 			return
 		}
-		w.WriteResponse(Response{Status: StatusMiss})
+		w.WriteResponse(&Response{Status: StatusMiss})
 		w.Flush()
 	})
 	c, err := Dial(addr)
@@ -268,18 +269,19 @@ func TestClientMembersAndPush(t *testing.T) {
 			return
 		}
 		for {
-			req, err := r.ReadRequest()
+			var req Request
+			err := r.ReadRequest(&req)
 			if err != nil {
 				return
 			}
 			switch req.Op {
 			case OpMembers:
-				w.WriteResponse(Response{Status: StatusMembers, Epoch: held.Epoch, Topology: held})
+				w.WriteResponse(&Response{Status: StatusMembers, Epoch: held.Epoch, Topology: held})
 			case OpTopology:
 				if req.Topology.Epoch > held.Epoch {
 					held = req.Topology
 				}
-				w.WriteResponse(Response{Status: StatusMembers, Epoch: held.Epoch, Topology: held})
+				w.WriteResponse(&Response{Status: StatusMembers, Epoch: held.Epoch, Topology: held})
 			}
 			w.Flush()
 		}
@@ -315,17 +317,18 @@ func TestKeysRoundTrip(t *testing.T) {
 		{Key: 1 << 40, Version: 1 << 50, Tombstone: true},
 		{Key: 42, Version: 3},
 	}
-	if err := w.WriteResponse(Response{Status: StatusKeys, Keys: want}); err != nil {
+	if err := w.WriteResponse(&Response{Status: StatusKeys, Keys: want}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteResponse(Response{Status: StatusKeys}); err != nil {
+	if err := w.WriteResponse(&Response{Status: StatusKeys}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
-	resp, err := r.ReadResponse()
+	var resp Response
+	err := r.ReadResponse(&resp)
 	if err != nil || resp.Status != StatusKeys {
 		t.Fatalf("ReadResponse = %v, %v", resp.Status, err)
 	}
@@ -337,7 +340,7 @@ func TestKeysRoundTrip(t *testing.T) {
 			t.Fatalf("keys = %v, want %v", resp.Keys, want)
 		}
 	}
-	resp, err = r.ReadResponse()
+	err = r.ReadResponse(&resp)
 	if err != nil || resp.Status != StatusKeys || len(resp.Keys) != 0 {
 		t.Fatalf("empty KEYS = %v (%d keys), %v", resp.Status, len(resp.Keys), err)
 	}

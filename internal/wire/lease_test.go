@@ -30,7 +30,8 @@ func TestLeaseRequestRoundTrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	for i, want := range reqs {
-		got, err := r.ReadRequest()
+		var got Request
+		err := r.ReadRequest(&got)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -60,7 +61,7 @@ func TestLeaseResponseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, resp := range resps {
-		if err := w.WriteResponse(resp); err != nil {
+		if err := w.WriteResponse(&resp); err != nil {
 			t.Fatalf("write %+v: %v", resp, err)
 		}
 	}
@@ -69,7 +70,8 @@ func TestLeaseResponseRoundTrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	for i, want := range resps {
-		got, err := r.ReadResponse()
+		var got Response
+		err := r.ReadResponse(&got)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -99,7 +101,7 @@ func TestMalformedLeaseRequestRejected(t *testing.T) {
 		return NewReader(&buf)
 	}
 	// A GETL with a short key must be rejected like a GET.
-	if _, err := frame([]byte{byte(OpGetLease), 1, 2, 3}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpGetLease), 1, 2, 3}).ReadRequest(&Request{}); err == nil {
 		t.Fatal("short GETL accepted")
 	}
 	// A LEASE SET with a zero token is a protocol error: the server never
@@ -108,13 +110,13 @@ func TestMalformedLeaseRequestRejected(t *testing.T) {
 	body = append(body, byte(SetFlagLease))
 	body = append(body, make([]byte, 8)...) // token = 0
 	body = append(body, 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("LEASE SET with a zero token accepted")
 	}
 	// A LEASE SET whose body ends before the token field.
 	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
 	body = append(body, byte(SetFlagLease), 1, 2, 3)
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("LEASE SET with a truncated token field accepted")
 	}
 	// LEASE combines with nothing: a fill is not maintenance traffic.
@@ -126,7 +128,7 @@ func TestMalformedLeaseRequestRejected(t *testing.T) {
 		body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
 		body = append(body, byte(flags))
 		body = append(body, make([]byte, 17)...) // more than enough field bytes
-		if _, err := frame(body).ReadRequest(); err == nil {
+		if err := frame(body).ReadRequest(&Request{}); err == nil {
 			t.Fatalf("LEASE SET with flags %#02x accepted", byte(flags))
 		}
 	}
@@ -164,25 +166,25 @@ func TestMalformedLeaseResponseRejected(t *testing.T) {
 		tail = binary.LittleEndian.AppendUint64(tail, ver)
 		return append(tail, val...)
 	}
-	if _, err := leaseFrame(7, 0, 0).ReadResponse(); err == nil {
+	if err := leaseFrame(7, 0, 0).ReadResponse(&Response{}); err == nil {
 		t.Fatal("LEASE with a zero TTL accepted")
 	}
-	if _, err := leaseFrame(7, 100, 2).ReadResponse(); err == nil {
+	if err := leaseFrame(7, 100, 2).ReadResponse(&Response{}); err == nil {
 		t.Fatal("LEASE with stale byte 2 accepted")
 	}
-	if _, err := leaseFrame(7, 100, 0, 'x').ReadResponse(); err == nil {
+	if err := leaseFrame(7, 100, 0, 'x').ReadResponse(&Response{}); err == nil {
 		t.Fatal("bare LEASE with trailing bytes accepted")
 	}
-	if _, err := leaseFrame(7, 100, staleTail(9, "v")...).ReadResponse(); err == nil {
+	if err := leaseFrame(7, 100, staleTail(9, "v")...).ReadResponse(&Response{}); err == nil {
 		t.Fatal("LEASE grant carrying a stale hint accepted")
 	}
-	if _, err := leaseFrame(0, 100, 1, 1, 2, 3).ReadResponse(); err == nil {
+	if err := leaseFrame(0, 100, 1, 1, 2, 3).ReadResponse(&Response{}); err == nil {
 		t.Fatal("stale LEASE with a truncated hint version accepted")
 	}
-	if _, err := leaseFrame(0, 100).ReadResponse(); err == nil {
+	if err := leaseFrame(0, 100).ReadResponse(&Response{}); err == nil {
 		t.Fatal("LEASE body shorter than token+ttl+stale accepted")
 	}
-	if _, err := leaseFrame(0, 100, staleTail(9, "ok")...).ReadResponse(); err != nil {
+	if err := leaseFrame(0, 100, staleTail(9, "ok")...).ReadResponse(&Response{}); err != nil {
 		t.Fatalf("well-formed stale hint rejected: %v", err)
 	}
 
@@ -198,17 +200,17 @@ func TestMalformedLeaseResponseRejected(t *testing.T) {
 		buf.Write(body)
 		return NewReader(&buf)
 	}
-	if _, err := lostFrame(1, 2, 3).ReadResponse(); err == nil {
+	if err := lostFrame(1, 2, 3).ReadResponse(&Response{}); err == nil {
 		t.Fatal("short LEASE_LOST accepted")
 	}
-	if _, err := lostFrame(make([]byte, 9)...).ReadResponse(); err == nil {
+	if err := lostFrame(make([]byte, 9)...).ReadResponse(&Response{}); err == nil {
 		t.Fatal("oversize LEASE_LOST accepted")
 	}
 
 	// The encoder refuses a grant that carries a stale hint.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{Status: StatusLease, LeaseToken: 7, LeaseTTL: time.Second, Stale: true, Version: 1, Value: []byte("v")}); err == nil {
+	if err := w.WriteResponse(&Response{Status: StatusLease, LeaseToken: 7, LeaseTTL: time.Second, Stale: true, Version: 1, Value: []byte("v")}); err == nil {
 		t.Fatal("encoder accepted a LEASE grant with a stale hint")
 	}
 }

@@ -72,7 +72,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	for i, want := range reqs {
-		got, err := r.ReadRequest()
+		var got Request
+		err := r.ReadRequest(&got)
 		if err != nil {
 			t.Fatalf("read request %d: %v", i, err)
 		}
@@ -90,7 +91,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 	buf.Reset()
 	for _, resp := range resps {
-		if err := w.WriteResponse(resp); err != nil {
+		if err := w.WriteResponse(&resp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,7 +99,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range resps {
-		got, err := r.ReadResponse()
+		var got Response
+		err := r.ReadResponse(&got)
 		if err != nil {
 			t.Fatalf("read response %d: %v", i, err)
 		}
@@ -171,16 +173,16 @@ func TestMetricsRequestRejected(t *testing.T) {
 		b.Write(body)
 		return NewReader(&b)
 	}
-	if _, err := frame([]byte{byte(OpMetrics)}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpMetrics)}).ReadRequest(&Request{}); err == nil {
 		t.Error("METRICS request without the flag byte accepted")
 	}
-	if _, err := frame([]byte{byte(OpMetrics), 0}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpMetrics), 0}).ReadRequest(&Request{}); err == nil {
 		t.Error("METRICS request selecting no section accepted")
 	}
-	if _, err := frame([]byte{byte(OpMetrics), 0x21}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpMetrics), 0x21}).ReadRequest(&Request{}); err == nil {
 		t.Error("METRICS request with undefined flag bits accepted")
 	}
-	if _, err := frame([]byte{byte(OpMetrics), byte(MetricsAll), 0}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpMetrics), byte(MetricsAll), 0}).ReadRequest(&Request{}); err == nil {
 		t.Error("METRICS request with trailing bytes accepted")
 	}
 }
@@ -192,7 +194,7 @@ func TestMetricsPayloadRejected(t *testing.T) {
 	encode := func(m *Metrics) []byte {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteResponse(Response{Status: StatusMetrics, Epoch: 1, Metrics: m}); err != nil {
+		if err := w.WriteResponse(&Response{Status: StatusMetrics, Epoch: 1, Metrics: m}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
@@ -202,7 +204,7 @@ func TestMetricsPayloadRejected(t *testing.T) {
 	}
 	reject := func(name string, raw []byte) {
 		t.Helper()
-		if _, err := NewReader(bytes.NewReader(raw)).ReadResponse(); err == nil {
+		if err := NewReader(bytes.NewReader(raw)).ReadResponse(&Response{}); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -235,7 +237,7 @@ func TestMetricsPayloadRejected(t *testing.T) {
 	m.Hists[1].ID = m.Hists[0].ID
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{Status: StatusMetrics, Metrics: m}); err == nil {
+	if err := w.WriteResponse(&Response{Status: StatusMetrics, Metrics: m}); err == nil {
 		w.Flush()
 		reject("non-ascending histogram IDs", buf.Bytes())
 	}
@@ -368,13 +370,14 @@ func TestMetricsMergeAcrossWire(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		m := &Metrics{Flags: MetricsHistograms, Hists: []OpHist{{ID: byte(OpGet), Snap: h.Snapshot()}}}
-		if err := w.WriteResponse(Response{Status: StatusMetrics, Metrics: m}); err != nil {
+		if err := w.WriteResponse(&Response{Status: StatusMetrics, Metrics: m}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := NewReader(&buf).ReadResponse()
+		var resp Response
+		err := NewReader(&buf).ReadResponse(&resp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -568,8 +568,9 @@ type Request struct {
 	Op Op
 	// Key is the cache key of a GET, SET or DEL.
 	Key uint64
-	// Value is the payload of a SET. It aliases the reader's scratch buffer
-	// and is only valid until the next Read call.
+	// Value is the payload of a SET (or HINT). It aliases the reader's
+	// stream buffer (or its body buffer, for a frame larger than the
+	// stream buffer) and is only valid until the next Read call.
 	Value []byte
 	// Flags is the SET flag byte (zero for user writes).
 	Flags SetFlags
@@ -1045,7 +1046,7 @@ func (w *Writer) WriteRequest(req Request) error {
 // after the status byte. A HIT Value at least zeroCopyMin long is
 // referenced, not copied, and must stay unmodified until Flush — which a
 // server whose stored values are immutable satisfies by construction.
-func (w *Writer) WriteResponse(resp Response) error {
+func (w *Writer) WriteResponse(resp *Response) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -1158,13 +1159,14 @@ func appendStats(body []byte, s *Stats) []byte {
 
 // Reader decodes frames from a buffered stream. It is not safe for
 // concurrent use.
+//
+// A frame that fits the stream buffer (length prefix included) is decoded
+// in place: the body handed to the decoder is a view of the buffer, so the
+// common small frame costs no copy at all. Larger frames are read into
+// body, which grows as their bytes arrive.
 type Reader struct {
 	br   *bufio.Reader
 	body []byte
-	// hdr backs the fixed-size length and preamble reads; a struct field
-	// rather than a stack array so passing it through io.ReadFull's
-	// interface does not allocate per frame.
-	hdr [8]byte
 	// keys backs Response.Keys across calls, like body backs Value.
 	keys []KeyRec
 	// idle counts consecutive frames that fit codecShrinkCap while body
@@ -1186,8 +1188,8 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 
 // ReadPreamble validates the connection preamble (server side, once).
 func (r *Reader) ReadPreamble() error {
-	pre := r.hdr[:8]
-	if _, err := io.ReadFull(r.br, pre); err != nil {
+	pre, err := r.peek(8)
+	if err != nil {
 		return fmt.Errorf("wire: reading preamble: %w", err)
 	}
 	if string(pre[:4]) != Magic {
@@ -1196,6 +1198,7 @@ func (r *Reader) ReadPreamble() error {
 	if v := binary.LittleEndian.Uint32(pre[4:8]); v != Version {
 		return fmt.Errorf("wire: %w %d (this end speaks %d)", ErrVersionMismatch, v, Version)
 	}
+	r.br.Discard(8) // just peeked, so it cannot fail
 	return nil
 }
 
@@ -1203,12 +1206,26 @@ func (r *Reader) ReadPreamble() error {
 // the server uses it to decide when to flush responses.
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
+// peek returns the next n buffered bytes without consuming them, with
+// io.ReadFull's error convention: io.EOF only when the stream ended before
+// any of them, io.ErrUnexpectedEOF when it ended partway.
+func (r *Reader) peek(n int) ([]byte, error) {
+	p, err := r.br.Peek(n)
+	if err == io.EOF && len(p) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return p, err
+}
+
+// readFrame returns the next frame body. It aliases the stream buffer (or
+// body, for a frame larger than the stream buffer) and is valid until the
+// next read.
 func (r *Reader) readFrame() ([]byte, error) {
-	ln := r.hdr[:4]
-	if _, err := io.ReadFull(r.br, ln); err != nil {
+	hdr, err := r.peek(4)
+	if err != nil {
 		return nil, err // io.EOF between frames means a clean close
 	}
-	n := int(binary.LittleEndian.Uint32(ln))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame length %d exceeds max %d", n, MaxFrame)
 	}
@@ -1217,42 +1234,68 @@ func (r *Reader) readFrame() ([]byte, error) {
 	// traffic goes back to small frames.
 	if cap(r.body) > codecShrinkCap && n <= codecShrinkCap {
 		if r.idle++; r.idle >= codecIdleFrames {
-			r.body = make([]byte, 0, codecShrinkCap)
+			r.body = nil
 			r.keys = nil
 			r.idle = 0
 		}
 	} else {
 		r.idle = 0
 	}
-	if cap(r.body) < n {
-		r.body = make([]byte, n)
+	if 4+n <= r.br.Size() {
+		frame, err := r.peek(4 + n)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the length prefix was there
+			}
+			return nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
+		r.br.Discard(4 + n) // just peeked, so it cannot fail
+		return frame[4 : 4+n : 4+n], nil
 	}
-	r.body = r.body[:n]
-	if _, err := io.ReadFull(r.br, r.body); err != nil {
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	return r.body, nil
+	r.br.Discard(4) // the peeked length prefix
+	return r.readBody(n)
 }
 
-// ReadRequest decodes the next request frame (server side). The returned
-// Value aliases an internal buffer valid until the next call.
-func (r *Reader) ReadRequest() (Request, error) {
+// readBody reads an n-byte frame body that does not fit the stream buffer
+// into body. The buffer grows only as bytes arrive — doubling from
+// codecShrinkCap, capped at n — so a length prefix claiming MaxFrame over
+// a stream that then stalls or ends costs what was sent, not MaxFrame.
+func (r *Reader) readBody(n int) ([]byte, error) {
+	body := r.body[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(max(2*cap(body), codecShrinkCap), n)), body...)
+		}
+		k, err := io.ReadFull(r.br, body[len(body):min(cap(body), n)])
+		body = body[:len(body)+k]
+		r.body = body
+		if err != nil {
+			return nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
+	}
+	return body, nil
+}
+
+// ReadRequest decodes the next request frame into req (server side),
+// overwriting every field. Value aliases the stream buffer or an internal
+// one, valid until the next call; on error req's contents are unspecified.
+func (r *Reader) ReadRequest(req *Request) error {
 	body, err := r.readFrame()
 	if err != nil {
-		return Request{}, err
+		return err
 	}
 	if len(body) < 1 {
-		return Request{}, fmt.Errorf("wire: empty request frame")
+		return fmt.Errorf("wire: empty request frame")
 	}
-	req := Request{Op: Op(body[0] &^ OpFlagTraced)}
+	*req = Request{Op: Op(body[0] &^ OpFlagTraced)}
 	if body[0]&OpFlagTraced != 0 {
 		if len(body) < 1+TraceContextLen {
-			return Request{}, fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace context", req.Op, len(body))
+			return fmt.Errorf("wire: traced %v frame %d bytes, too short for a trace context", req.Op, len(body))
 		}
 		copy(req.Trace.ID[:], body[1:])
 		req.Trace.Flags = TraceFlags(body[1+len(req.Trace.ID)])
 		if err := req.Trace.validate(); err != nil {
-			return Request{}, err
+			return err
 		}
 		req.Traced = true
 		body = body[1+TraceContextLen:]
@@ -1262,65 +1305,65 @@ func (r *Reader) ReadRequest() (Request, error) {
 	switch req.Op {
 	case OpGet, OpDel, OpGetLease:
 		if len(body) != 8 {
-			return Request{}, fmt.Errorf("wire: %v body %d bytes, want 8", req.Op, len(body))
+			return fmt.Errorf("wire: %v body %d bytes, want 8", req.Op, len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 	case OpSet:
 		if len(body) < 9 {
-			return Request{}, fmt.Errorf("wire: SET body %d bytes, want ≥9", len(body))
+			return fmt.Errorf("wire: SET body %d bytes, want ≥9", len(body))
 		}
 		req.Key = binary.LittleEndian.Uint64(body)
 		req.Flags = SetFlags(body[8])
 		if req.Flags&^setFlagsDefined != 0 {
-			return Request{}, fmt.Errorf("wire: SET flags %#02x has undefined bits", byte(req.Flags))
+			return fmt.Errorf("wire: SET flags %#02x has undefined bits", byte(req.Flags))
 		}
 		if req.Flags&SetFlagAsync != 0 && req.Flags&SetFlagRepair == 0 {
-			return Request{}, fmt.Errorf("wire: SET flag ASYNC is only valid with REPAIR")
+			return fmt.Errorf("wire: SET flag ASYNC is only valid with REPAIR")
 		}
 		body = body[9:]
 		if req.Flags&SetFlagVersioned != 0 {
 			if req.Flags&SetFlagRepair == 0 {
-				return Request{}, fmt.Errorf("wire: SET flag VERSIONED is only valid with REPAIR")
+				return fmt.Errorf("wire: SET flag VERSIONED is only valid with REPAIR")
 			}
 			if len(body) < 8 {
-				return Request{}, fmt.Errorf("wire: VERSIONED SET body lacks the version field")
+				return fmt.Errorf("wire: VERSIONED SET body lacks the version field")
 			}
 			req.Version = binary.LittleEndian.Uint64(body)
 			body = body[8:]
 		}
 		if req.Flags&SetFlagLease != 0 {
 			if req.Flags&SetFlagRepair != 0 {
-				return Request{}, fmt.Errorf("wire: SET flag LEASE is not valid with REPAIR")
+				return fmt.Errorf("wire: SET flag LEASE is not valid with REPAIR")
 			}
 			if len(body) < 8 {
-				return Request{}, fmt.Errorf("wire: LEASE SET body lacks the token field")
+				return fmt.Errorf("wire: LEASE SET body lacks the token field")
 			}
 			req.LeaseToken = binary.LittleEndian.Uint64(body)
 			if req.LeaseToken == 0 {
-				return Request{}, fmt.Errorf("wire: LEASE SET with a zero token")
+				return fmt.Errorf("wire: LEASE SET with a zero token")
 			}
 			body = body[8:]
 		}
 		if req.Flags&SetFlagTombstone != 0 {
 			if req.Flags&SetFlagVersioned == 0 {
-				return Request{}, fmt.Errorf("wire: SET flag TOMBSTONE is only valid with VERSIONED")
+				return fmt.Errorf("wire: SET flag TOMBSTONE is only valid with VERSIONED")
 			}
 			if len(body) != 0 {
-				return Request{}, fmt.Errorf("wire: TOMBSTONE SET carries a value")
+				return fmt.Errorf("wire: TOMBSTONE SET carries a value")
 			}
 		}
 		req.Value = body
 	case OpHint:
 		if len(body) < 1 {
-			return Request{}, fmt.Errorf("wire: HINT body %d bytes, want ≥1", len(body))
+			return fmt.Errorf("wire: HINT body %d bytes, want ≥1", len(body))
 		}
 		al := int(body[0])
 		body = body[1:]
 		if al == 0 {
-			return Request{}, fmt.Errorf("wire: HINT with an empty target address")
+			return fmt.Errorf("wire: HINT with an empty target address")
 		}
 		if len(body) < al+17 {
-			return Request{}, fmt.Errorf("wire: HINT body truncated (target %d bytes, %d remain)", al, len(body))
+			return fmt.Errorf("wire: HINT body truncated (target %d bytes, %d remain)", al, len(body))
 		}
 		req.Target = string(body[:al])
 		body = body[al:]
@@ -1330,37 +1373,37 @@ func (r *Reader) ReadRequest() (Request, error) {
 		case 1:
 			req.Tombstone = true
 		default:
-			return Request{}, fmt.Errorf("wire: HINT tombstone byte %#02x, want 0 or 1", body[8])
+			return fmt.Errorf("wire: HINT tombstone byte %#02x, want 0 or 1", body[8])
 		}
 		req.Version = binary.LittleEndian.Uint64(body[9:])
 		if req.Version == 0 {
-			return Request{}, fmt.Errorf("wire: HINT with a zero version")
+			return fmt.Errorf("wire: HINT with a zero version")
 		}
 		req.Value = body[17:]
 		if req.Tombstone && len(req.Value) != 0 {
-			return Request{}, fmt.Errorf("wire: tombstone HINT carries a value")
+			return fmt.Errorf("wire: tombstone HINT carries a value")
 		}
 	case OpStats:
 		if len(body) != 1 {
-			return Request{}, fmt.Errorf("wire: STATS body %d bytes, want 1", len(body))
+			return fmt.Errorf("wire: STATS body %d bytes, want 1", len(body))
 		}
 		req.Detail = body[0] != 0
 	case OpRehash, OpKeys, OpMembers:
 		if len(body) != 0 {
-			return Request{}, fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
+			return fmt.Errorf("wire: %v body %d bytes, want 0", req.Op, len(body))
 		}
 	case OpMetrics:
 		if len(body) != 1 {
-			return Request{}, fmt.Errorf("wire: METRICS body %d bytes, want 1", len(body))
+			return fmt.Errorf("wire: METRICS body %d bytes, want 1", len(body))
 		}
 		req.MetricsFlags = MetricsFlags(body[0])
 		if err := req.MetricsFlags.validate(); err != nil {
-			return Request{}, err
+			return err
 		}
 	case OpTopology:
 		t, err := parseTopology(body)
 		if err != nil {
-			return Request{}, err
+			return err
 		}
 		// An empty MEMBERS response is legitimate (a fresh server knows no
 		// topology), but an empty *push* is not: adopting it would leave
@@ -1368,31 +1411,33 @@ func (r *Reader) ReadRequest() (Request, error) {
 		// any later epoch could "win" — a rollback of the monotonic-epoch
 		// invariant through one malformed frame.
 		if len(t.Members) == 0 {
-			return Request{}, fmt.Errorf("wire: TOPOLOGY push with no members")
+			return fmt.Errorf("wire: TOPOLOGY push with no members")
 		}
 		req.Topology = t
 	default:
-		return Request{}, fmt.Errorf("wire: unknown request op %d", byte(req.Op))
+		return fmt.Errorf("wire: unknown request op %d", byte(req.Op))
 	}
-	return req, nil
+	return nil
 }
 
-// ReadResponse decodes the next response frame (client side). The returned
-// Value and Keys alias internal buffers valid until the next call.
-func (r *Reader) ReadResponse() (Response, error) {
+// ReadResponse decodes the next response frame into resp (client side),
+// overwriting every field. Value and Keys alias the stream buffer or
+// internal ones, valid until the next call; on error resp's contents are
+// unspecified.
+func (r *Reader) ReadResponse(resp *Response) error {
 	body, err := r.readFrame()
 	if err != nil {
-		return Response{}, err
+		return err
 	}
 	if len(body) < 9 {
-		return Response{}, fmt.Errorf("wire: response frame %d bytes, want ≥9 (status + epoch)", len(body))
+		return fmt.Errorf("wire: response frame %d bytes, want ≥9 (status + epoch)", len(body))
 	}
-	resp := Response{Status: Status(body[0]), Epoch: binary.LittleEndian.Uint64(body[1:])}
+	*resp = Response{Status: Status(body[0]), Epoch: binary.LittleEndian.Uint64(body[1:])}
 	body = body[9:]
 	switch resp.Status {
 	case StatusHit:
 		if len(body) < 8 {
-			return Response{}, fmt.Errorf("wire: HIT body %d bytes, want ≥8 (version)", len(body))
+			return fmt.Errorf("wire: HIT body %d bytes, want ≥8 (version)", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 		resp.Value = body[8:]
@@ -1408,62 +1453,62 @@ func (r *Reader) ReadResponse() (Response, error) {
 			resp.Evicted = body[0] != 0
 			resp.Version = binary.LittleEndian.Uint64(body[1:])
 		default:
-			return Response{}, fmt.Errorf("wire: OK body %d bytes, want 0, 1 or 9", len(body))
+			return fmt.Errorf("wire: OK body %d bytes, want 0, 1 or 9", len(body))
 		}
 	case StatusVersionStale:
 		if len(body) != 8 {
-			return Response{}, fmt.Errorf("wire: VERSION_STALE body %d bytes, want 8", len(body))
+			return fmt.Errorf("wire: VERSION_STALE body %d bytes, want 8", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 	case StatusLease:
 		if len(body) < 13 {
-			return Response{}, fmt.Errorf("wire: LEASE body %d bytes, want ≥13 (token + ttl + stale)", len(body))
+			return fmt.Errorf("wire: LEASE body %d bytes, want ≥13 (token + ttl + stale)", len(body))
 		}
 		resp.LeaseToken = binary.LittleEndian.Uint64(body)
 		ms := binary.LittleEndian.Uint32(body[8:])
 		if ms == 0 {
-			return Response{}, fmt.Errorf("wire: LEASE with a zero TTL")
+			return fmt.Errorf("wire: LEASE with a zero TTL")
 		}
 		resp.LeaseTTL = time.Duration(ms) * time.Millisecond
 		switch body[12] {
 		case 0:
 			if len(body) != 13 {
-				return Response{}, fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
+				return fmt.Errorf("wire: LEASE body %d bytes, want 13 without a stale hint", len(body))
 			}
 		case 1:
 			if resp.LeaseToken != 0 {
-				return Response{}, fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
+				return fmt.Errorf("wire: LEASE grant cannot carry a stale hint")
 			}
 			if len(body) < 21 {
-				return Response{}, fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
+				return fmt.Errorf("wire: stale LEASE body %d bytes, want ≥21 (hint version)", len(body))
 			}
 			resp.Stale = true
 			resp.Version = binary.LittleEndian.Uint64(body[13:])
 			resp.Value = body[21:]
 		default:
-			return Response{}, fmt.Errorf("wire: LEASE stale byte %#02x, want 0 or 1", body[12])
+			return fmt.Errorf("wire: LEASE stale byte %#02x, want 0 or 1", body[12])
 		}
 	case StatusLeaseLost:
 		if len(body) != 8 {
-			return Response{}, fmt.Errorf("wire: LEASE_LOST body %d bytes, want 8", len(body))
+			return fmt.Errorf("wire: LEASE_LOST body %d bytes, want 8", len(body))
 		}
 		resp.Version = binary.LittleEndian.Uint64(body)
 	case StatusStats:
 		st, err := parseStats(body)
 		if err != nil {
-			return Response{}, err
+			return err
 		}
 		resp.Stats = st
 	case StatusError:
 		resp.Err = string(body)
 	case StatusKeys:
 		if len(body) < 4 {
-			return Response{}, fmt.Errorf("wire: keys payload %d bytes, want ≥4", len(body))
+			return fmt.Errorf("wire: keys payload %d bytes, want ≥4", len(body))
 		}
 		n := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]
 		if len(body) != keyRecLen*n {
-			return Response{}, fmt.Errorf("wire: keys payload %d bytes, want %d", len(body), keyRecLen*n)
+			return fmt.Errorf("wire: keys payload %d bytes, want %d", len(body), keyRecLen*n)
 		}
 		if n > 0 {
 			// Like Value, Keys aliases reader-owned memory valid until
@@ -1477,7 +1522,7 @@ func (r *Reader) ReadResponse() (Response, error) {
 				switch rec[16] {
 				case 0, 1:
 				default:
-					return Response{}, fmt.Errorf("wire: keys record %d tombstone byte %#02x, want 0 or 1", i, rec[16])
+					return fmt.Errorf("wire: keys record %d tombstone byte %#02x, want 0 or 1", i, rec[16])
 				}
 				resp.Keys[i] = KeyRec{
 					Key:       binary.LittleEndian.Uint64(rec),
@@ -1489,19 +1534,19 @@ func (r *Reader) ReadResponse() (Response, error) {
 	case StatusMembers:
 		t, err := parseTopology(body)
 		if err != nil {
-			return Response{}, err
+			return err
 		}
 		resp.Topology = t
 	case StatusMetrics:
 		m, err := parseMetrics(body)
 		if err != nil {
-			return Response{}, err
+			return err
 		}
 		resp.Metrics = m
 	default:
-		return Response{}, fmt.Errorf("wire: unknown response status %d", byte(resp.Status))
+		return fmt.Errorf("wire: unknown response status %d", byte(resp.Status))
 	}
-	return resp, nil
+	return nil
 }
 
 func parseStats(body []byte) (*Stats, error) {

@@ -18,30 +18,34 @@ func testTraceID(b byte) (id telemetry.TraceID) {
 	return id
 }
 
+// roundTripRequests is one request of every shape TestRequestRoundTrip
+// pins; the fuzz targets seed from it too.
+var roundTripRequests = []Request{
+	{Op: OpGet, Key: 42},
+	{Op: OpSet, Key: 7, Value: []byte("hello world")},
+	{Op: OpSet, Key: 8, Value: nil},                                                   // empty value is legal
+	{Op: OpSet, Key: 9, Flags: SetFlagRepair, Value: []byte("repair")},                // flagged maintenance write
+	{Op: OpSet, Key: 10, Flags: SetFlagRepair | SetFlagAsync, Value: []byte("async")}, // queued maintenance write
+	{Op: OpSet, Key: 11, Flags: SetFlagRepair | SetFlagVersioned, Version: 1 << 50, Value: []byte("conditional")},
+	{Op: OpSet, Key: 12, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 7, Value: nil},
+	{Op: OpDel, Key: 1 << 60},
+	{Op: OpStats, Detail: true},
+	{Op: OpStats, Detail: false},
+	{Op: OpRehash},
+	{Op: OpMembers},
+	{Op: OpTopology, Topology: Topology{Epoch: 7, Members: []string{"a:1", "b:2"}}},
+	// v6 traced requests: context rides between the opcode byte and the
+	// op fields, sampled or not, on reads and maintenance writes alike.
+	{Op: OpGet, Key: 42, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: TraceFlagSampled}},
+	{Op: OpGet, Key: 43, Traced: true, Trace: TraceContext{ID: testTraceID(2)}}, // propagated, unsampled
+	{Op: OpSet, Key: 44, Value: []byte("traced"), Traced: true, Trace: TraceContext{ID: testTraceID(3), Flags: TraceFlagSampled}},
+	{Op: OpSet, Key: 45, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 9,
+		Value: []byte("traced repair"), Traced: true, Trace: TraceContext{ID: testTraceID(4), Flags: TraceFlagSampled}},
+	{Op: OpDel, Key: 46, Traced: true, Trace: TraceContext{ID: testTraceID(5), Flags: TraceFlagSampled}},
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{Op: OpGet, Key: 42},
-		{Op: OpSet, Key: 7, Value: []byte("hello world")},
-		{Op: OpSet, Key: 8, Value: nil},                                                   // empty value is legal
-		{Op: OpSet, Key: 9, Flags: SetFlagRepair, Value: []byte("repair")},                // flagged maintenance write
-		{Op: OpSet, Key: 10, Flags: SetFlagRepair | SetFlagAsync, Value: []byte("async")}, // queued maintenance write
-		{Op: OpSet, Key: 11, Flags: SetFlagRepair | SetFlagVersioned, Version: 1 << 50, Value: []byte("conditional")},
-		{Op: OpSet, Key: 12, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 7, Value: nil},
-		{Op: OpDel, Key: 1 << 60},
-		{Op: OpStats, Detail: true},
-		{Op: OpStats, Detail: false},
-		{Op: OpRehash},
-		{Op: OpMembers},
-		{Op: OpTopology, Topology: Topology{Epoch: 7, Members: []string{"a:1", "b:2"}}},
-		// v6 traced requests: context rides between the opcode byte and the
-		// op fields, sampled or not, on reads and maintenance writes alike.
-		{Op: OpGet, Key: 42, Traced: true, Trace: TraceContext{ID: testTraceID(1), Flags: TraceFlagSampled}},
-		{Op: OpGet, Key: 43, Traced: true, Trace: TraceContext{ID: testTraceID(2)}}, // propagated, unsampled
-		{Op: OpSet, Key: 44, Value: []byte("traced"), Traced: true, Trace: TraceContext{ID: testTraceID(3), Flags: TraceFlagSampled}},
-		{Op: OpSet, Key: 45, Flags: SetFlagRepair | SetFlagAsync | SetFlagVersioned, Version: 9,
-			Value: []byte("traced repair"), Traced: true, Trace: TraceContext{ID: testTraceID(4), Flags: TraceFlagSampled}},
-		{Op: OpDel, Key: 46, Traced: true, Trace: TraceContext{ID: testTraceID(5), Flags: TraceFlagSampled}},
-	}
+	reqs := roundTripRequests
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, req := range reqs {
@@ -54,7 +58,8 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	for i, want := range reqs {
-		got, err := r.ReadRequest()
+		var got Request
+		err := r.ReadRequest(&got)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -71,39 +76,45 @@ func TestRequestRoundTrip(t *testing.T) {
 			t.Fatalf("request %d topology = %+v, want %+v", i, got.Topology, want.Topology)
 		}
 	}
-	if _, err := r.ReadRequest(); err == nil {
+	if err := r.ReadRequest(&Request{}); err == nil {
 		t.Fatal("expected EOF after last request")
 	}
 }
 
+// roundTripStats is a STATS payload with every section populated.
+var roundTripStats = &Stats{
+	Hits: 10, Misses: 3, Evictions: 2, ConflictEvictions: 1, FlushEvictions: 5,
+	Rehashes: 1, Pending: 7, Len: 90, Capacity: 128, Alpha: 8, Buckets: 16,
+	RepairQueueDepth: 12, RepairsShed: 2,
+	Migrating: true,
+	Shards: []ShardStat{
+		{Hits: 4, Misses: 1, Evictions: 1, Len: 8},
+		{Hits: 6, Misses: 2, Evictions: 1, Len: 7},
+	},
+}
+
+// roundTripResponses is one response of every shape
+// TestResponseRoundTrip pins; the fuzz targets seed from it too.
+var roundTripResponses = []Response{
+	{Status: StatusHit, Epoch: 5, Value: []byte("payload")},
+	{Status: StatusHit, Epoch: 5, Version: 1 << 40, Value: []byte("versioned payload")},
+	{Status: StatusMiss, Epoch: 1 << 50},
+	{Status: StatusOK, Evicted: true},
+	{Status: StatusOK, Evicted: false, Epoch: 9},
+	{Status: StatusOK, Evicted: true, Epoch: 9, Version: 12345},
+	{Status: StatusVersionStale, Epoch: 2, Version: 1 << 41},
+	{Status: StatusStats, Stats: roundTripStats, Epoch: 3},
+	{Status: StatusStats, Stats: &Stats{Capacity: 64}}, // no shards
+	{Status: StatusError, Err: "boom", Epoch: 4},
+	{Status: StatusMembers, Epoch: 7, Topology: Topology{Epoch: 7, Members: []string{"n1:7070", "n2:7070"}}},
+}
+
 func TestResponseRoundTrip(t *testing.T) {
-	stats := &Stats{
-		Hits: 10, Misses: 3, Evictions: 2, ConflictEvictions: 1, FlushEvictions: 5,
-		Rehashes: 1, Pending: 7, Len: 90, Capacity: 128, Alpha: 8, Buckets: 16,
-		RepairQueueDepth: 12, RepairsShed: 2,
-		Migrating: true,
-		Shards: []ShardStat{
-			{Hits: 4, Misses: 1, Evictions: 1, Len: 8},
-			{Hits: 6, Misses: 2, Evictions: 1, Len: 7},
-		},
-	}
-	resps := []Response{
-		{Status: StatusHit, Epoch: 5, Value: []byte("payload")},
-		{Status: StatusHit, Epoch: 5, Version: 1 << 40, Value: []byte("versioned payload")},
-		{Status: StatusMiss, Epoch: 1 << 50},
-		{Status: StatusOK, Evicted: true},
-		{Status: StatusOK, Evicted: false, Epoch: 9},
-		{Status: StatusOK, Evicted: true, Epoch: 9, Version: 12345},
-		{Status: StatusVersionStale, Epoch: 2, Version: 1 << 41},
-		{Status: StatusStats, Stats: stats, Epoch: 3},
-		{Status: StatusStats, Stats: &Stats{Capacity: 64}}, // no shards
-		{Status: StatusError, Err: "boom", Epoch: 4},
-		{Status: StatusMembers, Epoch: 7, Topology: Topology{Epoch: 7, Members: []string{"n1:7070", "n2:7070"}}},
-	}
+	resps := roundTripResponses
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, resp := range resps {
-		if err := w.WriteResponse(resp); err != nil {
+		if err := w.WriteResponse(&resp); err != nil {
 			t.Fatalf("write %v: %v", resp.Status, err)
 		}
 	}
@@ -112,7 +123,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 	r := NewReader(&buf)
 	for i, want := range resps {
-		got, err := r.ReadResponse()
+		var got Response
+		err := r.ReadResponse(&got)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -161,7 +173,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], MaxFrame+1)
 	r := NewReader(bytes.NewReader(hdr[:]))
-	if _, err := r.ReadRequest(); err == nil {
+	if err := r.ReadRequest(&Request{}); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 }
@@ -176,23 +188,23 @@ func TestMalformedRequestRejected(t *testing.T) {
 		return NewReader(&buf)
 	}
 	// A GET with a 3-byte key must be rejected.
-	if _, err := frame([]byte{byte(OpGet), 1, 2, 3}).ReadRequest(); err == nil {
+	if err := frame([]byte{byte(OpGet), 1, 2, 3}).ReadRequest(&Request{}); err == nil {
 		t.Fatal("short GET accepted")
 	}
 	// A SET without a flags byte (the version-1 layout) must be rejected.
-	if _, err := frame(append([]byte{byte(OpSet)}, make([]byte, 8)...)).ReadRequest(); err == nil {
+	if err := frame(append([]byte{byte(OpSet)}, make([]byte, 8)...)).ReadRequest(&Request{}); err == nil {
 		t.Fatal("flagless SET accepted")
 	}
 	// A SET with undefined flag bits must be rejected.
 	body := append([]byte{byte(OpSet)}, make([]byte, 8)...)
 	body = append(body, 0x80, 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("SET with undefined flag bits accepted")
 	}
 	// ASYNC is only defined together with REPAIR.
 	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
 	body = append(body, byte(SetFlagAsync), 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("SET with ASYNC but not REPAIR accepted")
 	}
 	// VERSIONED is only defined together with REPAIR: user SETs must stay
@@ -201,24 +213,24 @@ func TestMalformedRequestRejected(t *testing.T) {
 	body = append(body, byte(SetFlagVersioned))
 	body = append(body, make([]byte, 8)...) // version
 	body = append(body, 'v')
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("SET with VERSIONED but not REPAIR accepted")
 	}
 	// A VERSIONED SET whose body ends before the version field.
 	body = append([]byte{byte(OpSet)}, make([]byte, 8)...)
 	body = append(body, byte(SetFlagRepair|SetFlagVersioned), 1, 2, 3)
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("VERSIONED SET with a truncated version field accepted")
 	}
 	// A traced frame whose body ends inside the trace context.
 	body = []byte{byte(OpGet) | OpFlagTraced, 1, 2, 3}
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("traced GET with a truncated trace context accepted")
 	}
 	// A trace context with a zero trace ID is a bug, not a frame.
 	body = append([]byte{byte(OpGet) | OpFlagTraced}, make([]byte, TraceContextLen)...)
 	body = append(body, make([]byte, 8)...) // key
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("traced GET with a zero trace ID accepted")
 	}
 	// Undefined trace-flag bits must be rejected.
@@ -226,7 +238,7 @@ func TestMalformedRequestRejected(t *testing.T) {
 	body = append(body, make([]byte, 15)...) // rest of the ID
 	body = append(body, 0x80)                // undefined trace flag bit
 	body = append(body, make([]byte, 8)...)  // key
-	if _, err := frame(body).ReadRequest(); err == nil {
+	if err := frame(body).ReadRequest(&Request{}); err == nil {
 		t.Fatal("trace context with undefined flag bits accepted")
 	}
 	// The encoder refuses the same two.
@@ -269,7 +281,7 @@ func TestTopologyValidate(t *testing.T) {
 	// claim 2 members but deliver bytes for half of one.
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{Status: StatusMembers, Topology: Topology{Epoch: 1, Members: []string{"abc"}}}); err != nil {
+	if err := w.WriteResponse(&Response{Status: StatusMembers, Topology: Topology{Epoch: 1, Members: []string{"abc"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -279,7 +291,7 @@ func TestTopologyValidate(t *testing.T) {
 	// Frame body layout: len(4) status(1) epoch(8) tEpoch(8) count(4)...;
 	// bump the member count to 2 without adding bytes.
 	binary.LittleEndian.PutUint32(raw[4+1+8+8:], 2)
-	if _, err := NewReader(bytes.NewReader(raw)).ReadResponse(); err == nil {
+	if err := NewReader(bytes.NewReader(raw)).ReadResponse(&Response{}); err == nil {
 		t.Fatal("truncated topology payload accepted")
 	}
 }
