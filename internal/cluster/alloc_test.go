@@ -53,6 +53,40 @@ func TestRouterGetBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestRouterSetBatchAllocs is the write half of the gate: a plain SetBatch
+// allocates only what the member servers inherently do per stored key —
+// the value copy and its record, two objects — and the router's partition,
+// acknowledgement and version bookkeeping add none.
+func TestRouterSetBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates per operation; alloc gate runs without -race")
+	}
+	addrs := startCluster(t, 2, 4096, 16)
+	c, err := Dial(addrs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	keys := make([]uint64, 16)
+	for i := range keys {
+		keys[i] = uint64(i)
+	}
+	payload := []byte("payload-64-bytes")
+	value := func(int) []byte { return payload }
+	run := func() {
+		if err := c.SetBatch(keys, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	if allocs, limit := testing.AllocsPerRun(200, run), 2*float64(len(keys))+0.1; allocs > limit {
+		t.Errorf("SetBatch(16 keys, 2 nodes) allocates %.2f objects/batch, want ≤ %.1f (the servers' two per key)", allocs, limit)
+	}
+}
+
 // TestLeaseRedialUsesConfiguredDialer pins the Options.Dial plumbing — and
 // with it Options.DialTimeout, which Dial folds into the default dialer —
 // on the lease replay path: when a leased batch loses its connection and

@@ -109,10 +109,13 @@ type Options struct {
 // one Client per worker, exactly as it opens one wire.Client per worker
 // against a single node.
 //
-// A member connection that fails is redialed once per operation; if the
-// redial or the replay fails too, the error surfaces to the caller — or,
-// under replication, the affected keys fail over to the next owner. A
-// replay is only attempted when no response of the failed batch has been
+// GetBatch and SetBatch run on one batch engine (batch.go) whatever the
+// replication, lease and near-cache settings. A member connection that
+// fails is redialed once per operation; if the redial or the replay fails
+// too, the affected keys fail over to their next owner, and the error
+// surfaces to the caller only once a read found every owner of a key
+// unreachable or a write was acknowledged by fewer than W. A replay is
+// only attempted when no response of the failed sub-batch has been
 // delivered, so observers never see a request double-counted.
 type Client struct {
 	dial     DialFunc
@@ -439,218 +442,6 @@ func (c *Client) OwnerSample(n int, seed uint64) (share map[string]int, replicas
 	defer c.mu.RUnlock()
 	r := c.effReplicas()
 	return c.ring.SampleOwners(n, r, seed), r
-}
-
-// partition splits keys by owning member, building the partition in sc.
-// The returned sub-batches are owned by sc and die at sc.release. Caller
-// holds c.mu (either side).
-func (c *Client) partition(sc *batchScratch, keys []uint64) ([]*subBatch, error) {
-	idxs := sc.idxs[:0]
-	for i := range keys {
-		idxs = append(idxs, i)
-	}
-	sc.idxs = idxs
-	return c.partitionIdx(sc, keys, idxs)
-}
-
-// partitionIdx splits the selected indices of keys by owning member —
-// partition over a subset, for the lease paths that carve a batch into
-// near-served, granted and remote fractions. The returned sub-batches are
-// owned by sc and die at sc.release. Caller holds c.mu (either side).
-//
-// A key's sub-batch is found by scanning the batch's sub-batches by
-// address: there are at most as many as members, so the scan is shorter
-// than hashing the address into a map, and only a member's first key
-// looks its connection up in c.nodes.
-func (c *Client) partitionIdx(sc *batchScratch, keys []uint64, idxs []int) ([]*subBatch, error) {
-	for _, i := range idxs {
-		addr, ok := c.ring.Node(keys[i])
-		if !ok {
-			return nil, fmt.Errorf("cluster: empty ring")
-		}
-		var sub *subBatch
-		for _, s := range sc.subs {
-			if s.nc.addr == addr {
-				sub = s
-				break
-			}
-		}
-		if sub == nil {
-			sub = sc.newSub(c.nodes[addr])
-			sc.subs = append(sc.subs, sub)
-		}
-		sub.idx = append(sub.idx, i)
-	}
-	sortSubs(sc.subs)
-	return sc.subs, nil
-}
-
-// GetBatch routes one GET per key and calls visit exactly once per key. All
-// members' pipelines are flushed before any response is read, so the batch
-// costs one round trip regardless of how many members it spans; under
-// replication, keys that miss or whose owner is unreachable cost one extra
-// round trip per fallback owner tried. The value passed to visit aliases a
-// connection buffer valid only for the duration of the call. Visit order is
-// unspecified beyond key order within one member's sub-batch.
-func (c *Client) GetBatch(keys []uint64, visit func(i int, hit bool, value []byte)) error {
-	c.maybeRefresh()
-	bt := c.nextTrace()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.leases || c.near != nil {
-		return c.getBatchLeased(keys, bt, visit)
-	}
-	if c.effReplicas() > 1 {
-		return c.getBatchReplicated(keys, bt, nil, visit)
-	}
-	sc := getBatchScratch()
-	defer sc.release()
-	subs, err := c.partition(sc, keys)
-	if err != nil {
-		return err
-	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueGets(c.dial, keys, bt)
-	}
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readGets(s, keys, visit)
-		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				// Cannot replay without double-delivering; the batch fails
-				// and every flushed connection may hold undrained responses.
-				dropSubs(subs)
-				return s.err
-			}
-			if err := c.replayGets(s, keys, bt, visit); err != nil {
-				dropSubs(subs)
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// readGets drains one sub-batch's GET responses, observing the topology
-// epoch each one carries.
-func (c *Client) readGets(s *subBatch, keys []uint64, visit func(i int, hit bool, value []byte)) error {
-	cl := s.nc.cl
-	var resp wire.Response
-	for _, i := range s.idx {
-		if err := cl.ReadResponse(&resp); err != nil {
-			return err
-		}
-		c.observeEpoch(resp.Epoch)
-		hit := false
-		switch resp.Status {
-		case wire.StatusHit:
-			hit = true
-			s.nc.hits.Add(1)
-		case wire.StatusMiss:
-			s.nc.misses.Add(1)
-		default:
-			return fmt.Errorf("cluster: unexpected GET response %v from %s", resp.Status, s.nc.addr)
-		}
-		s.nc.gets.Add(1)
-		s.delivered++
-		visit(i, hit, resp.Value)
-	}
-	return nil
-}
-
-// replayGets redials once and replays an entirely undelivered sub-batch.
-func (c *Client) replayGets(s *subBatch, keys []uint64, bt batchTrace, visit func(i int, hit bool, value []byte)) error {
-	s.nc.drop()
-	s.nc.redials.Add(1)
-	if err := s.enqueueGets(c.dial, keys, bt); err != nil {
-		return err
-	}
-	return c.readGets(s, keys, visit)
-}
-
-// SetBatch routes one SET per key, with value(i) producing the i-th
-// payload. Pipelining and recovery mirror GetBatch. Under replication each
-// key is written to all R owners and the batch fails unless every key is
-// acknowledged by at least W of them; owners that failed their write while
-// the key still met quorum are queued for background repair.
-func (c *Client) SetBatch(keys []uint64, value func(i int) []byte) error {
-	c.maybeRefresh()
-	bt := c.nextTrace()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.leases || c.near != nil {
-		return c.setBatchLeased(keys, bt, value)
-	}
-	if c.effReplicas() > 1 {
-		return c.setBatchReplicated(keys, bt, value)
-	}
-	return c.setBatchPlain(keys, bt, value)
-}
-
-// setBatchPlain is the unreplicated SET round: pipeline per owner,
-// replay-once recovery. Caller holds c.mu.RLock.
-func (c *Client) setBatchPlain(keys []uint64, bt batchTrace, value func(i int) []byte) error {
-	sc := getBatchScratch()
-	defer sc.release()
-	subs, err := c.partition(sc, keys)
-	if err != nil {
-		return err
-	}
-	lockSubs(subs)
-	defer unlockSubs(subs)
-
-	for _, s := range subs {
-		s.err = s.enqueueSets(c.dial, keys, value, bt)
-	}
-	for _, s := range subs {
-		if s.err == nil {
-			s.err = c.readSets(s, keys, value)
-		}
-		if s.err != nil {
-			if s.delivered > 0 {
-				dropSubs(subs)
-				return s.err
-			}
-			s.nc.drop()
-			s.nc.redials.Add(1)
-			if err := s.enqueueSets(c.dial, keys, value, bt); err != nil {
-				dropSubs(subs)
-				return err
-			}
-			if err := c.readSets(s, keys, value); err != nil {
-				dropSubs(subs)
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// readSets drains one sub-batch's SET responses, observing the topology
-// epoch each one carries and (when the near-cache is on) caching each
-// stored value under the version the owner assigned it.
-func (c *Client) readSets(s *subBatch, keys []uint64, value func(i int) []byte) error {
-	cl := s.nc.cl
-	var resp wire.Response
-	for _, i := range s.idx[s.delivered:] {
-		if err := cl.ReadResponse(&resp); err != nil {
-			return err
-		}
-		c.observeEpoch(resp.Epoch)
-		if resp.Status != wire.StatusOK {
-			return fmt.Errorf("cluster: unexpected SET response %v from %s", resp.Status, s.nc.addr)
-		}
-		s.nc.sets.Add(1)
-		s.delivered++
-		if c.near != nil {
-			c.near.store(keys[i], resp.Version, value(i), time.Now())
-		}
-	}
-	return nil
 }
 
 // Get fetches key from its owner. The returned value is a copy and safe to

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/load"
+	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -410,5 +411,70 @@ func TestLeasedBatchRepeatedColdKey(t *testing.T) {
 		if _, _, grants, _, waits := c.LeaseCounters(); grants != 1 || waits != 0 {
 			t.Fatalf("R=%d: %d grants and %d lease waits, want 1 and 0", replicas, grants, waits)
 		}
+	}
+}
+
+// TestLeaseWaiterFallsBackWhenPrimaryDies: a read waiting on a lease that
+// another client holds keeps polling through the same rounds as a first
+// read, so when the primary dies mid-wait the poll fails over to the
+// surviving replica instead of surfacing the dead primary's dial error —
+// a read errors only when every owner of the key was unreachable.
+func TestLeaseWaiterFallsBackWhenPrimaryDies(t *testing.T) {
+	addrs := make([]string, 3)
+	servers := make(map[string]*server.Server, 3)
+	for i := range addrs {
+		var srv *server.Server
+		addrs[i], srv = startNodeWithServer(t, 4096, 16, uint64(i+1))
+		servers[addrs[i]] = srv
+	}
+	opts := Options{Replicas: 2, Leases: true}
+	holder, err := Dial(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	waiter, err := Dial(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waiter.Close()
+
+	const key = uint64(0xDEAD1)
+	// The holder wins the fill lease at the primary and never fills.
+	if _, hit, err := holder.Get(key); err != nil || hit {
+		t.Fatalf("holder's cold GET: hit=%v err=%v", hit, err)
+	}
+	primary := waiter.Owners(key)[0]
+	killed := make(chan error, 1)
+	go func() {
+		// Close the primary a few milliseconds into the waiter's wait on
+		// the holder's lease.
+		for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if _, _, _, _, waits := waiter.LeaseCounters(); waits > 0 {
+				break
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		killed <- servers[primary].Close()
+	}()
+
+	visits := 0
+	err = waiter.GetBatch([]uint64{key}, func(_ int, hit bool, _ []byte) {
+		visits++
+		if hit {
+			t.Error("cold key read as a hit")
+		}
+	})
+	if kerr := <-killed; kerr != nil {
+		t.Fatal(kerr)
+	}
+	if err != nil {
+		t.Fatalf("waiting read failed although the secondary is up: %v", err)
+	}
+	if visits != 1 {
+		t.Fatalf("key visited %d times, want exactly once", visits)
+	}
+	if _, _, _, _, waits := waiter.LeaseCounters(); waits != 1 {
+		t.Fatalf("waiter counted %d lease waits, want 1 — the read never waited on the holder's lease", waits)
 	}
 }

@@ -169,18 +169,26 @@ func (r *Ring) OwnersFor(key uint64, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	return r.appendOwners(make([]string, 0, min(n, len(r.nodes))), key, n)
+}
+
+// appendOwners appends key's replica set (OwnersFor) to dst: the batch
+// engine keeps every key's owners in one pooled slice. It appends nothing
+// on an empty ring.
+func (r *Ring) appendOwners(dst []string, key uint64, n int) []string {
+	if len(r.points) == 0 {
+		return dst
 	}
-	owners := make([]string, 0, n)
+	n = min(n, len(r.nodes))
+	base := len(dst)
 	start := r.search(key)
-	for i := 0; len(owners) < n; i++ {
+	for i := 0; len(dst)-base < n; i++ {
 		node := r.points[(start+i)%len(r.points)].node
-		if !contains(owners, node) {
-			owners = append(owners, node)
+		if !contains(dst[base:], node) {
+			dst = append(dst, node)
 		}
 	}
-	return owners
+	return dst
 }
 
 // contains reports whether owners already lists node. Replica sets are tiny

@@ -242,12 +242,12 @@ func TestSpansAndHotKeys(t *testing.T) {
 	if _, err := c.Set(hotKey, []byte("hot")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EnqueueGetTraced(hotKey, tc); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: tc, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
 	unsampled := wire.TraceContext{}
 	unsampled.ID[0] = 0xCD
-	if err := c.EnqueueGetTraced(hotKey, unsampled); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpGet, Key: hotKey, Trace: unsampled, Traced: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -320,7 +320,7 @@ func TestSlowOpTraceJoin(t *testing.T) {
 
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[5] = 0x77
-	if err := c.EnqueueSetFlagsTraced(9, 0, tc, []byte("v")); err != nil {
+	if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: 9, Trace: tc, Traced: true, Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {
@@ -369,7 +369,10 @@ func TestRepairDrainSpan(t *testing.T) {
 	tc := wire.TraceContext{Flags: wire.TraceFlagSampled}
 	tc.ID[1] = 0x44
 	flags := wire.SetFlagRepair | wire.SetFlagAsync
-	if err := c.EnqueueSetVersionedTraced(123, flags, 7, tc, []byte("r")); err != nil {
+	if err := c.Enqueue(wire.Request{
+		Op: wire.OpSet, Key: 123, Flags: flags | wire.SetFlagVersioned, Version: 7,
+		Trace: tc, Traced: true, Value: []byte("r"),
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Flush(); err != nil {

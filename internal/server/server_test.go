@@ -532,7 +532,7 @@ func TestPipelinedMixedBatch(t *testing.T) {
 
 	const n = 500
 	for i := uint64(0); i < n; i++ {
-		if err := c.EnqueueSet(i, load.Payload(i, 16)); err != nil {
+		if err := c.Enqueue(wire.Request{Op: wire.OpSet, Key: i, Value: load.Payload(i, 16)}); err != nil {
 			t.Fatal(err)
 		}
 	}

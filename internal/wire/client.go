@@ -18,9 +18,8 @@ const DefaultDialTimeout = 3 * time.Second
 // for concurrent use; the load harness opens one per worker goroutine.
 //
 // The simple methods (Get, Set, Del, Stats, Rehash) are synchronous: one
-// round trip each. For batched pipelining, enqueue requests with the
-// Enqueue* methods, Flush once, then read the responses in order with
-// ReadResponse.
+// round trip each. For batched pipelining, enqueue requests with Enqueue,
+// Flush once, then read the responses in order with ReadResponse.
 type Client struct {
 	conn io.ReadWriteCloser
 	r    *Reader
@@ -65,14 +64,15 @@ func NewClient(conn io.ReadWriteCloser) (*Client, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// Enqueue buffers req without flushing. It pipelines any request —
+// opcode, SET flags, lease token, version and trace context all ride on
+// req — ahead of one Flush; read the responses back in order with
+// ReadResponse. The typed Enqueue* forms below are shorthands for it.
+func (c *Client) Enqueue(req Request) error { return c.w.WriteRequest(req) }
+
 // EnqueueGet buffers a GET without flushing.
 func (c *Client) EnqueueGet(key uint64) error {
 	return c.w.WriteRequest(Request{Op: OpGet, Key: key})
-}
-
-// EnqueueSet buffers a user SET (no flags) without flushing.
-func (c *Client) EnqueueSet(key uint64, value []byte) error {
-	return c.EnqueueSetFlags(key, 0, value)
 }
 
 // EnqueueSetFlags buffers a SET carrying the given flag byte without
@@ -94,27 +94,6 @@ func (c *Client) EnqueueSetVersioned(key uint64, flags SetFlags, version uint64,
 	})
 }
 
-// EnqueueGetLease buffers a GETL without flushing: GET with lease
-// semantics on a miss (v7). A resident key answers HIT exactly like GET;
-// a miss answers LEASE, electing at most one concurrent misser to load
-// the origin.
-func (c *Client) EnqueueGetLease(key uint64) error {
-	return c.w.WriteRequest(Request{Op: OpGetLease, Key: key})
-}
-
-// EnqueueSetLease buffers a lease fill without flushing: a user SET
-// carrying SetFlagLease and the nonzero token a LEASE grant handed this
-// caller. The server applies it only while that lease is still
-// outstanding, answering LEASE_LOST otherwise.
-func (c *Client) EnqueueSetLease(key, token uint64, value []byte) error {
-	return c.w.WriteRequest(Request{Op: OpSet, Key: key, Flags: SetFlagLease, LeaseToken: token, Value: value})
-}
-
-// EnqueueDel buffers a DEL without flushing.
-func (c *Client) EnqueueDel(key uint64) error {
-	return c.w.WriteRequest(Request{Op: OpDel, Key: key})
-}
-
 // EnqueueSetTombstone buffers a conditional maintenance delete without
 // flushing (v8): a SET carrying SetFlagTombstone, SetFlagVersioned and an
 // empty value. The server stores a tombstone under version iff it is
@@ -126,18 +105,11 @@ func (c *Client) EnqueueSetTombstone(key uint64, flags SetFlags, version uint64)
 	})
 }
 
-// EnqueueHint buffers a HINT without flushing (v8): it parks a hinted
-// handoff — a versioned write (tombstone=true for a delete, with a nil
-// value) whose intended owner target was unreachable — on the receiving
-// server, which replays it to target as a conditional versioned write
-// once target is reachable again.
-func (c *Client) EnqueueHint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
-	})
-}
-
-// Hint issues one HINT round trip; see EnqueueHint.
+// Hint issues one HINT round trip (v8): it parks a hinted handoff — a
+// versioned write (tombstone=true for a delete, with a nil value) whose
+// intended owner target was unreachable — on the receiving server, which
+// replays it to target as a conditional versioned write once target is
+// reachable again.
 func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64, value []byte) error {
 	resp, err := c.roundTrip(Request{
 		Op: OpHint, Target: target, Key: key, Tombstone: tombstone, Version: version, Value: value,
@@ -149,47 +121,6 @@ func (c *Client) Hint(target string, key uint64, tombstone bool, version uint64,
 		return fmt.Errorf("wire: unexpected HINT response %v", resp.Status)
 	}
 	return nil
-}
-
-// EnqueueGetTraced is EnqueueGet with a trace context attached (v6): the
-// server propagates tc into its telemetry for this request, recording a
-// span when tc is sampled.
-func (c *Client) EnqueueGetTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpGet, Key: key, Trace: tc, Traced: true})
-}
-
-// EnqueueSetFlagsTraced is EnqueueSetFlags with a trace context attached.
-func (c *Client) EnqueueSetFlagsTraced(key uint64, flags SetFlags, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{Op: OpSet, Key: key, Flags: flags, Trace: tc, Traced: true, Value: value})
-}
-
-// EnqueueSetVersionedTraced is EnqueueSetVersioned with a trace context
-// attached; for ASYNC writes the context rides the server's repair queue
-// and is recorded when the entry drains, so the span's queue wait names
-// the originating request even seconds later.
-func (c *Client) EnqueueSetVersionedTraced(key uint64, flags SetFlags, version uint64, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: flags | SetFlagVersioned, Version: version,
-		Trace: tc, Traced: true, Value: value,
-	})
-}
-
-// EnqueueGetLeaseTraced is EnqueueGetLease with a trace context attached.
-func (c *Client) EnqueueGetLeaseTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpGetLease, Key: key, Trace: tc, Traced: true})
-}
-
-// EnqueueSetLeaseTraced is EnqueueSetLease with a trace context attached.
-func (c *Client) EnqueueSetLeaseTraced(key, token uint64, tc TraceContext, value []byte) error {
-	return c.w.WriteRequest(Request{
-		Op: OpSet, Key: key, Flags: SetFlagLease, LeaseToken: token,
-		Trace: tc, Traced: true, Value: value,
-	})
-}
-
-// EnqueueDelTraced is EnqueueDel with a trace context attached.
-func (c *Client) EnqueueDelTraced(key uint64, tc TraceContext) error {
-	return c.w.WriteRequest(Request{Op: OpDel, Key: key, Trace: tc, Traced: true})
 }
 
 // Flush sends all buffered requests.
@@ -350,7 +281,8 @@ type Lease struct {
 	// (exactly a GET hit) and no lease state was touched.
 	Hit bool
 	// Token, when nonzero, grants this caller the fill lease for the key;
-	// it must accompany the fill SET (SetLease/EnqueueSetLease).
+	// it must accompany the fill SET (SetLease, or a SET Request carrying
+	// SetFlagLease and the token).
 	Token uint64
 	// TTL is how long the lease (own or, for a zero-token response, the
 	// current holder's) remains outstanding.
